@@ -40,6 +40,28 @@ pub(crate) enum Sense {
     Maximize,
 }
 
+impl Sense {
+    /// The cell value marking an unreachable capacity: the extremum's
+    /// identity (`i64::MAX` for `min`, `i64::MIN` for `max`), so folding a
+    /// reachable candidate into an unreachable cell simply takes the
+    /// candidate.
+    pub(crate) fn unreachable(self) -> i64 {
+        match self {
+            Sense::Minimize => i64::MAX,
+            Sense::Maximize => i64::MIN,
+        }
+    }
+}
+
+/// One row of the Eq. (1) table: column `w` holds `f_i(w)`, or
+/// [`Sense::unreachable`] when no combination fits capacity `w`.
+pub(crate) type Row = Vec<i64>;
+
+/// The base row `f_{n+1} ≡ 0` over columns `0..=width`.
+pub(crate) fn base_row(width: usize) -> Row {
+    vec![0; width + 1]
+}
+
 /// Extends `row` (row `i` of the table) in place up to column `width`,
 /// computing each new column from the *already extended* next row
 /// (`f[i+1]`). Starting from an empty `row` this builds the whole row.
@@ -50,37 +72,54 @@ pub(crate) enum Sense {
 /// at the wider capacity would produce. Callers must extend rows back to
 /// front so `next` is always at full width first.
 #[cfg(test)]
-pub(crate) fn extend_row(
-    items: &[Item],
-    next: &[Option<i64>],
-    row: &mut Vec<Option<i64>>,
-    width: usize,
-    sense: Sense,
-) {
+pub(crate) fn extend_row(items: &[Item], next: &[i64], row: &mut Row, width: usize, sense: Sense) {
     extend_row_threads(items, next, row, width, sense, 1);
 }
 
-/// One cell of Eq. (1): the extremum over this job's alternatives of
-/// `value + f[i+1][w - weight]`. A pure function of its arguments, which
-/// is what makes both row extension and column-parallel row construction
-/// sound.
-fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Option<i64> {
-    let mut best: Option<i64> = None;
+/// Fills `cells` — columns `first..first + cells.len()` of row `i`, all
+/// preset to [`Sense::unreachable`] — with Eq. (1), one item at a time:
+/// `cell[w] = extr(cell[w], value + next[w − weight])` over contiguous
+/// slices. Each cell ends as the extremum over the same candidates a
+/// per-cell scan of the items would fold, and `min`/`max` do not depend
+/// on evaluation order, so the values are identical to that scan; the
+/// item-major order turns the inner loop into a branch-free slice pass
+/// the compiler can vectorize.
+fn fill_cells(items: &[Item], next: &[i64], cells: &mut [i64], first: usize, sense: Sense) {
+    let end = first + cells.len();
+    let unreachable = sense.unreachable();
     for item in items {
-        if item.weight > w as i64 {
+        debug_assert!(item.weight >= 0, "DP weights are non-negative");
+        let weight = item.weight as usize;
+        let lo = first.max(weight);
+        if lo >= end {
             continue;
         }
-        let Some(rest) = next[w - item.weight as usize] else {
-            continue;
-        };
-        let candidate = item.value + rest;
-        best = Some(match (best, sense) {
-            (None, _) => candidate,
-            (Some(b), Sense::Minimize) => b.min(candidate),
-            (Some(b), Sense::Maximize) => b.max(candidate),
-        });
+        let dst = &mut cells[lo - first..];
+        let src = &next[lo - weight..end - weight];
+        // One arm per sense, so each pass inlines its own extremum.
+        match sense {
+            Sense::Minimize => relax(dst, src, item.value, unreachable, i64::min),
+            Sense::Maximize => relax(dst, src, item.value, unreachable, i64::max),
+        }
     }
-    best
+}
+
+/// One item's pass of [`fill_cells`]: folds `src[k] + value` into
+/// `dst[k]` wherever `src[k]` is reachable.
+#[inline(always)]
+fn relax(dst: &mut [i64], src: &[i64], value: i64, unreachable: i64, extr: fn(i64, i64) -> i64) {
+    for (cell, &rest) in dst.iter_mut().zip(src) {
+        debug_assert!(
+            rest == unreachable || rest.checked_add(value).is_some_and(|s| s != unreachable),
+            "a reachable DP sum overflowed or collided with the unreachable sentinel"
+        );
+        let candidate = if rest == unreachable {
+            unreachable
+        } else {
+            rest.wrapping_add(value)
+        };
+        *cell = extr(*cell, candidate);
+    }
 }
 
 /// Columns below which [`extend_row_threads`] stays single-threaded: the
@@ -89,17 +128,17 @@ fn row_cell(items: &[Item], next: &[Option<i64>], w: usize, sense: Sense) -> Opt
 const PARALLEL_COLUMN_MIN: usize = 2048;
 
 /// [`extend_row`] with the new columns fanned out over at most `threads`
-/// scoped workers in contiguous chunks, appended in column order.
+/// scoped workers, each filling one contiguous chunk of the row in place.
 ///
 /// Every cell is a pure function of `(items, next, w, sense)` — workers
-/// share the read-only inputs and never see each other's output — so the
+/// share the read-only inputs and write disjoint chunks — so the
 /// extended row is byte-identical to the sequential build at any thread
 /// count. Small extensions (fewer than [`PARALLEL_COLUMN_MIN`] new
 /// columns) skip the fan-out entirely.
 pub(crate) fn extend_row_threads(
     items: &[Item],
-    next: &[Option<i64>],
-    row: &mut Vec<Option<i64>>,
+    next: &[i64],
+    row: &mut Row,
     width: usize,
     sense: Sense,
     threads: usize,
@@ -110,52 +149,34 @@ pub(crate) fn extend_row_threads(
     }
     let first = row.len();
     let columns = width + 1 - first;
-    row.reserve(columns);
+    row.resize(width + 1, sense.unreachable());
+    let new = &mut row[first..];
     if threads <= 1 || columns < PARALLEL_COLUMN_MIN {
-        for w in first..=width {
-            row.push(row_cell(items, next, w, sense));
-        }
+        fill_cells(items, next, new, first, sense);
         return;
     }
-    let workers = threads.min(columns);
-    let chunk = columns.div_ceil(workers);
-    let starts: Vec<usize> = (0..workers).map(|k| first + k * chunk).collect();
+    let chunk = columns.div_ceil(threads.min(columns));
     let joined = crossbeam::scope(|scope| {
-        let handles: Vec<_> = starts
-            .iter()
-            .map(|&lo| {
-                let hi = (lo + chunk).min(width + 1);
-                scope.spawn(move |_| {
-                    (lo..hi)
-                        .map(|w| row_cell(items, next, w, sense))
-                        .collect::<Vec<Option<i64>>>()
-                })
+        let handles: Vec<_> = new
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(k, cells)| {
+                scope.spawn(move |_| fill_cells(items, next, cells, first + k * chunk, sense))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
-    let parts = match joined {
-        Ok(parts) => parts,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    for part in parts {
-        row.extend(part);
+    if let Err(payload) = joined {
+        std::panic::resume_unwind(payload);
     }
 }
 
 /// Builds row `i` of the table (columns `0..=width`) from the next row.
-pub(crate) fn compute_row(
-    items: &[Item],
-    next: &[Option<i64>],
-    width: usize,
-    sense: Sense,
-) -> Vec<Option<i64>> {
+pub(crate) fn compute_row(items: &[Item], next: &[i64], width: usize, sense: Sense) -> Row {
     compute_row_threads(items, next, width, sense, 1)
 }
 
@@ -163,11 +184,11 @@ pub(crate) fn compute_row(
 /// [`extend_row_threads`]).
 pub(crate) fn compute_row_threads(
     items: &[Item],
-    next: &[Option<i64>],
+    next: &[i64],
     width: usize,
     sense: Sense,
     threads: usize,
-) -> Vec<Option<i64>> {
+) -> Row {
     let mut row = Vec::with_capacity(width + 1);
     extend_row_threads(items, next, &mut row, width, sense, threads);
     row
@@ -179,27 +200,28 @@ pub(crate) fn compute_row_threads(
 /// `rows[0][cap]` is infeasible.
 pub(crate) fn reconstruct_choices(
     items: &[Vec<Item>],
-    rows: &[&[Option<i64>]],
+    rows: &[&[i64]],
     cap: usize,
+    sense: Sense,
 ) -> Option<Vec<usize>> {
-    rows[0][cap]?;
+    let unreachable = sense.unreachable();
+    if rows[0][cap] == unreachable {
+        return None;
+    }
     let n = items.len();
     let mut choices = Vec::with_capacity(n);
     let mut w = cap;
     for i in 0..n {
-        let target = rows[i][w].expect("reconstruction follows feasible states");
-        let mut picked = None;
-        for (j, item) in items[i].iter().enumerate() {
-            if item.weight > w as i64 {
-                continue;
-            }
-            if let Some(rest) = rows[i + 1][w - item.weight as usize] {
-                if item.value + rest == target {
-                    picked = Some((j, item.weight as usize));
-                    break;
-                }
-            }
-        }
+        let target = rows[i][w];
+        debug_assert_ne!(
+            target, unreachable,
+            "reconstruction follows feasible states"
+        );
+        let picked = items[i].iter().enumerate().find_map(|(j, item)| {
+            let weight = usize::try_from(item.weight).ok().filter(|&wt| wt <= w)?;
+            let rest = rows[i + 1][w - weight];
+            (rest != unreachable && item.value + rest == target).then_some((j, weight))
+        });
         let (j, used) = picked.expect("feasible table states have a witness");
         choices.push(j);
         w -= used;
@@ -215,18 +237,18 @@ fn backward_run(items: &[Vec<Item>], capacity: i64, sense: Sense) -> Option<Vec<
     }
     let n = items.len();
     let cap = capacity as usize;
-    let base: Vec<Option<i64>> = vec![Some(0); cap + 1];
+    let base = base_row(cap);
     // Rows built back to front; `computed` holds them in reverse order.
-    let mut computed: Vec<Vec<Option<i64>>> = Vec::with_capacity(n);
+    let mut computed: Vec<Row> = Vec::with_capacity(n);
     for i in (0..n).rev() {
         let next = computed.last().unwrap_or(&base);
         let row = compute_row(&items[i], next, cap, sense);
         computed.push(row);
     }
     computed.reverse();
-    let mut rows: Vec<&[Option<i64>]> = computed.iter().map(Vec::as_slice).collect();
+    let mut rows: Vec<&[i64]> = computed.iter().map(Vec::as_slice).collect();
     rows.push(&base);
-    reconstruct_choices(items, &rows, cap)
+    reconstruct_choices(items, &rows, cap, sense)
 }
 
 /// Validates the alternatives table: non-empty, and every job covered.
@@ -493,61 +515,132 @@ mod tests {
         assert_eq!(a.total_time(), TimeDelta::new(20));
     }
 
+    fn item(weight: i64, value: i64) -> Item {
+        Item { weight, value }
+    }
+
+    /// Eq. (1) cell by cell, straight from its definition: the reference
+    /// the item-major kernel must reproduce.
+    fn cellwise_row(items: &[Item], next: &[i64], width: usize, sense: Sense) -> Row {
+        let unreachable = sense.unreachable();
+        (0..=width)
+            .map(|w| {
+                let reachable = items.iter().filter_map(|it| {
+                    let rest = next[w.checked_sub(usize::try_from(it.weight).ok()?)?];
+                    (rest != unreachable).then(|| rest + it.value)
+                });
+                match sense {
+                    Sense::Minimize => reachable.min(),
+                    Sense::Maximize => reachable.max(),
+                }
+                .unwrap_or(unreachable)
+            })
+            .collect()
+    }
+
     #[test]
     fn extended_row_matches_from_scratch_build() {
-        let items = vec![
-            Item {
-                weight: 3,
-                value: 7,
-            },
-            Item {
-                weight: 5,
-                value: 2,
-            },
-        ];
-        let base_small: Vec<Option<i64>> = vec![Some(0); 9];
-        let base_big: Vec<Option<i64>> = vec![Some(0); 21];
+        let items = vec![item(3, 7), item(5, 2)];
         for sense in [Sense::Minimize, Sense::Maximize] {
-            let mut grown = compute_row(&items, &base_small, 8, sense);
-            extend_row(&items, &base_big, &mut grown, 20, sense);
-            let scratch = compute_row(&items, &base_big, 20, sense);
+            let mut grown = compute_row(&items, &base_row(8), 8, sense);
+            extend_row(&items, &base_row(20), &mut grown, 20, sense);
+            let scratch = compute_row(&items, &base_row(20), 20, sense);
             assert_eq!(grown, scratch);
+            assert_eq!(scratch, cellwise_row(&items, &base_row(20), 20, sense));
         }
     }
 
     #[test]
-    fn column_parallel_rows_match_sequential() {
-        // Wide enough to clear PARALLEL_COLUMN_MIN so the fan-out path
-        // genuinely runs, with weights that leave unreachable (None)
-        // columns to exercise the infeasible-cell merge.
-        let items = vec![
-            Item {
-                weight: 3,
-                value: 7,
-            },
-            Item {
-                weight: 5,
-                value: 2,
-            },
-            Item {
-                weight: 11,
-                value: 4,
-            },
-        ];
-        let width = PARALLEL_COLUMN_MIN + 513;
-        let base: Vec<Option<i64>> = vec![Some(0); width + 1];
-        for sense in [Sense::Minimize, Sense::Maximize] {
-            let sequential = compute_row(&items, &base, width, sense);
-            for threads in [2, 3, 8] {
-                let parallel = compute_row_threads(&items, &base, width, sense, threads);
-                assert_eq!(parallel, sequential, "threads={threads}");
-            }
-            // Widening an existing prefix in parallel must land on the
-            // same row as a from-scratch parallel build.
-            let mut grown = compute_row(&items, &base, 100, sense);
-            extend_row_threads(&items, &base, &mut grown, width, sense, 4);
-            assert_eq!(grown, sequential);
+    fn zero_weight_and_oversized_items() {
+        // A weight-0 item reads the next row at the same column; an item
+        // heavier than the whole width never contributes.
+        let items = vec![item(0, 9), item(4, 1), item(50, -100)];
+        for (sense, at_six) in [(Sense::Minimize, 4), (Sense::Maximize, 12)] {
+            let next = compute_row(&[item(2, 3)], &base_row(10), 10, sense);
+            let row = compute_row(&items, &next, 10, sense);
+            assert_eq!(row, cellwise_row(&items, &next, 10, sense));
+            assert_eq!(row[0], sense.unreachable(), "next row is unreachable at 0");
+            assert_eq!(row[2], 12, "only the weight-0 item fits at column 2");
+            assert_eq!(row[6], at_six);
         }
+        // Only oversized items: the whole row is unreachable.
+        for sense in [Sense::Minimize, Sense::Maximize] {
+            let row = compute_row(&[item(11, 1)], &base_row(10), 10, sense);
+            assert!(row.iter().all(|&c| c == sense.unreachable()));
+        }
+    }
+
+    #[test]
+    fn unreachable_rows_propagate_and_reconstruct_to_none() {
+        for sense in [Sense::Minimize, Sense::Maximize] {
+            let unreachable = sense.unreachable();
+            let dead: Row = vec![unreachable; 9];
+            let row = compute_row(&[item(0, 5), item(3, 1)], &dead, 8, sense);
+            assert!(
+                row.iter().all(|&c| c == unreachable),
+                "an all-unreachable next row stays unreachable ({sense:?})"
+            );
+            let items = vec![vec![item(9, 1)]];
+            let base = base_row(8);
+            let rows: Vec<&[i64]> = vec![&dead, &base];
+            assert_eq!(reconstruct_choices(&items, &rows, 8, sense), None);
+        }
+        assert_eq!(
+            backward_run(&[vec![item(9, 1)], vec![item(1, 1)]], 8, Sense::Maximize),
+            None
+        );
+    }
+
+    #[test]
+    fn column_parallel_rows_match_sequential() {
+        // Widths on both sides of PARALLEL_COLUMN_MIN, so both the
+        // sequential shortcut and the fan-out run, with weights that
+        // leave unreachable columns to exercise chunk boundaries.
+        let items = vec![item(3, 7), item(5, 2), item(11, 4), item(0, 1)];
+        let sparse = compute_row(
+            &[item(7, 0)],
+            &base_row(PARALLEL_COLUMN_MIN + 600),
+            PARALLEL_COLUMN_MIN + 600,
+            Sense::Minimize,
+        );
+        for width in [
+            PARALLEL_COLUMN_MIN - 2,
+            PARALLEL_COLUMN_MIN - 1,
+            PARALLEL_COLUMN_MIN,
+            PARALLEL_COLUMN_MIN + 513,
+        ] {
+            for sense in [Sense::Minimize, Sense::Maximize] {
+                let next: Row = sparse
+                    .iter()
+                    .map(|&c| {
+                        if c == Sense::Minimize.unreachable() {
+                            sense.unreachable()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect();
+                let sequential = compute_row(&items, &next, width, sense);
+                assert_eq!(sequential, cellwise_row(&items, &next, width, sense));
+                for threads in [1, 2, 3, 4, 8] {
+                    let parallel = compute_row_threads(&items, &next, width, sense, threads);
+                    assert_eq!(parallel, sequential, "width={width} threads={threads}");
+                    // Widening an existing prefix in parallel must land on
+                    // the same row as a from-scratch build.
+                    let mut grown = compute_row(&items, &next, 100, sense);
+                    extend_row_threads(&items, &next, &mut grown, width, sense, threads);
+                    assert_eq!(grown, sequential, "width={width} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unreachable sentinel")]
+    fn reachable_sum_hitting_the_sentinel_is_caught() {
+        // 0 + (i64::MAX) is a reachable sum equal to the min sentinel.
+        let _ = compute_row(&[item(0, i64::MAX)], &base_row(2), 2, Sense::Minimize);
     }
 
     /// Like `alts` but with micro-credit cost precision.

@@ -122,6 +122,17 @@ fn fp_items(items: &[Item]) -> u64 {
     h
 }
 
+/// Fingerprint of one job's alternatives as `(cost, time)` pairs, in
+/// alternative order: the Pareto layer key's per-job part.
+fn fp_pairs(pairs: impl ExactSizeIterator<Item = (Money, TimeDelta)>) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, &(pairs.len() as u64).to_le_bytes());
+    for (cost, time) in pairs {
+        h = fnv1a(h, &cost.micro().to_le_bytes());
+        h = fnv1a(h, &time.ticks().to_le_bytes());
+    }
+    h
+}
+
 /// Chains a job fingerprint with an adjacent (suffix or prefix) chain value.
 fn chain(job_fp: u64, neighbor: u64) -> u64 {
     fnv1a(job_fp, &neighbor.to_le_bytes())
@@ -131,11 +142,11 @@ fn chain(job_fp: u64, neighbor: u64) -> u64 {
 #[derive(Debug)]
 struct RowEntry {
     suffix_fp: u64,
-    row: Vec<Option<i64>>,
+    row: dp::Row,
     /// Structural copy of the items the row was built from. Debug builds
     /// check it against the live alternative set to catch fingerprint
-    /// collisions / stale reuse outright; snapshot export carries it so a
-    /// restored cache can keep making the same check.
+    /// collisions / stale reuse outright; snapshot export carries it as
+    /// the row's input, from which a restored cache rebuilds the row.
     items: Vec<Item>,
 }
 
@@ -229,7 +240,7 @@ impl DpCache {
 
         // Never shrink: wider rows answer narrower queries by prefix.
         let target = self.width.max(cap);
-        let base: Vec<Option<i64>> = vec![Some(0); target + 1];
+        let base = dp::base_row(target);
 
         // Stale-reuse guard: a reused row must describe exactly the live
         // alternative set at its position. The fingerprint chain implies
@@ -249,7 +260,7 @@ impl DpCache {
         if target > self.width && kept > 0 {
             for k in (0..kept).rev() {
                 let (head, tail) = self.entries.split_at_mut(k + 1);
-                let next: &[Option<i64>] = match tail.first() {
+                let next: &[i64] = match tail.first() {
                     Some(entry) => &entry.row,
                     None => &base,
                 };
@@ -270,7 +281,7 @@ impl DpCache {
         // Rebuild the invalidated prefix, back to front.
         let mut fresh: Vec<RowEntry> = Vec::with_capacity(reuse_from);
         for i in (0..reuse_from).rev() {
-            let next: &[Option<i64>] = if i + 1 == n {
+            let next: &[i64] = if i + 1 == n {
                 &base
             } else if i + 1 == reuse_from {
                 &self.entries[0].row
@@ -288,21 +299,21 @@ impl DpCache {
         fresh.append(&mut self.entries);
         self.entries = fresh;
 
-        let mut rows: Vec<&[Option<i64>]> = self.entries.iter().map(|e| e.row.as_slice()).collect();
+        let mut rows: Vec<&[i64]> = self.entries.iter().map(|e| e.row.as_slice()).collect();
         rows.push(&base);
-        dp::reconstruct_choices(items, &rows, cap)
+        dp::reconstruct_choices(items, &rows, cap, self.sense)
     }
 }
 
-/// A plain-data export of one cached DP row: the fingerprint, the row
-/// values, and the (weight, value) items the row was built from, as
-/// parallel vectors.
+/// A plain-data export of one cached DP row's *inputs*: the fingerprint
+/// and the (weight, value) items the row was built from, as parallel
+/// vectors. The row values themselves are not exported — they are a pure
+/// function of these items, the next row and the cache width, and are
+/// rebuilt on restore.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RowSnapshot {
     /// The chained suffix fingerprint keying the row.
     pub suffix_fp: u64,
-    /// The row values (`None` marks an unreachable capacity).
-    pub row: Vec<Option<i64>>,
     /// Item weights, parallel to `values`.
     pub weights: Vec<i64>,
     /// Item values, parallel to `weights`.
@@ -318,33 +329,37 @@ pub struct DpCacheSnapshot {
     pub rows: Vec<RowSnapshot>,
 }
 
-/// A plain-data export of one cached Pareto point.
+/// One `(cost, time)` point of a snapshotted Pareto layer's job: one
+/// alternative, in alternative order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrontierPointSnapshot {
-    /// Total cost in micro-credits.
+    /// The alternative's cost in micro-credits.
     pub cost_micro: i64,
-    /// Total time in ticks.
+    /// The alternative's execution time in ticks.
     pub time_ticks: i64,
-    /// Alternative index chosen for the layer's job.
-    pub alt: u64,
-    /// Index of the predecessor point in the previous layer.
-    pub parent: u64,
 }
 
-/// A plain-data export of one cached Pareto layer.
+/// A plain-data export of one cached Pareto layer's *inputs*: the prefix
+/// fingerprint and its job's alternatives. The layer's frontier is a pure
+/// function of these and the previous layer, and is rebuilt on restore.
+///
+/// Format-1/2 snapshots stored the frontier itself under `points` (each
+/// point a cumulative `(cost, time)` plus backpointers). Those still parse
+/// into this type but do not describe a job: their pairs do not hash to
+/// `prefix_fp`, so restoring drops them — a legacy frontier resumes cold.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrontierLayerSnapshot {
     /// The chained prefix fingerprint keying the layer.
     pub prefix_fp: u64,
-    /// The layer's Pareto points, in frontier order.
+    /// The layer's job, one point per alternative.
     pub points: Vec<FrontierPointSnapshot>,
 }
 
-/// A resumable export of an [`IncrementalOptimizer`]'s full cached state —
-/// DP rows per criterion, Pareto layers, and work counters. Restoring it
-/// with [`IncrementalOptimizer::from_snapshot`] yields an optimizer whose
-/// subsequent solves (results *and* [`OptStats`] deltas) are identical to
-/// the captured one's.
+/// A resumable export of an [`IncrementalOptimizer`]: the inputs of every
+/// cached DP row and Pareto layer, plus work counters. Restoring it with
+/// [`IncrementalOptimizer::from_snapshot`] rebuilds the caches and yields
+/// an optimizer whose subsequent solves (results *and* [`OptStats`]
+/// deltas) are identical to the captured one's.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptimizerSnapshot {
     /// The `min C(s̄) s.t. T ≤ T*` row cache.
@@ -373,7 +388,6 @@ impl DpCache {
                 .iter()
                 .map(|e| RowSnapshot {
                     suffix_fp: e.suffix_fp,
-                    row: e.row.clone(),
                     weights: e.items.iter().map(|i| i.weight).collect(),
                     values: e.items.iter().map(|i| i.value).collect(),
                 })
@@ -381,33 +395,49 @@ impl DpCache {
         }
     }
 
+    /// Rebuilds the cache from its exported inputs: rows back to front at
+    /// the recorded width, the last one over the base row. Each row is a
+    /// pure function of its items, the next row and the width (see the
+    /// module doc), and a row widened in place equals one built at the
+    /// wider width, so the rebuilt rows are exactly the captured ones.
     fn restore(sense: Sense, snapshot: &DpCacheSnapshot) -> Self {
+        let width = snapshot.width as usize;
+        let base = dp::base_row(width);
+        let mut entries: Vec<RowEntry> = Vec::with_capacity(snapshot.rows.len());
+        for r in snapshot.rows.iter().rev() {
+            let items: Vec<Item> = r
+                .weights
+                .iter()
+                .zip(&r.values)
+                .map(|(&weight, &value)| Item { weight, value })
+                .collect();
+            let next = entries.last().map_or(base.as_slice(), |e| e.row.as_slice());
+            let row = dp::compute_row(&items, next, width, sense);
+            entries.push(RowEntry {
+                suffix_fp: r.suffix_fp,
+                row,
+                items,
+            });
+        }
+        entries.reverse();
         DpCache {
             sense,
-            entries: snapshot
-                .rows
-                .iter()
-                .map(|r| RowEntry {
-                    suffix_fp: r.suffix_fp,
-                    row: r.row.clone(),
-                    items: r
-                        .weights
-                        .iter()
-                        .zip(&r.values)
-                        .map(|(&weight, &value)| Item { weight, value })
-                        .collect(),
-                })
-                .collect(),
-            width: snapshot.width as usize,
+            entries,
+            width,
         }
     }
 }
+
+/// One job's alternatives as `(cost, time)` pairs.
+type JobPairs = Vec<(Money, TimeDelta)>;
 
 /// One cached Pareto layer, keyed by the fingerprint of the job prefix
 /// that produced it.
 #[derive(Debug)]
 struct FrontierLayer {
     prefix_fp: u64,
+    /// The layer's job, the input exported by snapshots.
+    job: JobPairs,
     layer: Vec<Point>,
 }
 
@@ -423,6 +453,14 @@ impl FrontierCache {
         FrontierCache {
             cap: DEFAULT_FRONTIER_CAP,
             layers: Vec::new(),
+        }
+    }
+
+    /// The layer `job` adds after the cached ones.
+    fn next_layer(&self, job: &[(Money, TimeDelta)]) -> Vec<Point> {
+        match self.layers.last() {
+            Some(previous) => pareto::next_layer(&previous.layer, job),
+            None => pareto::next_layer(&pareto::seed_layer(), job),
         }
     }
 
@@ -445,12 +483,7 @@ impl FrontierCache {
         let mut prefix_fps = Vec::with_capacity(n);
         let mut acc = FNV_OFFSET;
         for ja in alternatives {
-            let mut h = fnv1a(FNV_OFFSET, &(ja.len() as u64).to_le_bytes());
-            for alt in ja {
-                h = fnv1a(h, &alt.cost().micro().to_le_bytes());
-                h = fnv1a(h, &alt.time().ticks().to_le_bytes());
-            }
-            acc = chain(h, acc);
+            acc = chain(fp_pairs(ja.iter().map(|a| (a.cost(), a.time()))), acc);
             prefix_fps.push(acc);
         }
 
@@ -465,14 +498,13 @@ impl FrontierCache {
         stats.frontier_reused += reuse_len as u64;
         stats.frontier_rebuilt += (n - reuse_len) as u64;
 
-        for i in reuse_len..n {
-            let layer = match self.layers.last() {
-                Some(previous) => pareto::next_layer(&previous.layer, &alternatives[i]),
-                None => pareto::next_layer(&pareto::seed_layer(), &alternatives[i]),
-            };
+        for (ja, prefix_fp) in alternatives.iter().zip(prefix_fps).skip(reuse_len) {
+            let job = pareto::job_pairs(ja);
+            let layer = self.next_layer(&job);
             pareto::check_cap(layer.len(), cap)?;
             self.layers.push(FrontierLayer {
-                prefix_fp: prefix_fps[i],
+                prefix_fp,
+                job,
                 layer,
             });
         }
@@ -483,6 +515,64 @@ impl FrontierCache {
         let layers: Vec<&[Point]> = self.layers.iter().map(|l| l.layer.as_slice()).collect();
         let indices = pareto::reconstruct_indices(&layers, index);
         Assignment::from_indices(alternatives, &indices)
+    }
+
+    fn snapshot(&self) -> Vec<FrontierLayerSnapshot> {
+        self.layers
+            .iter()
+            .map(|l| FrontierLayerSnapshot {
+                prefix_fp: l.prefix_fp,
+                points: l
+                    .job
+                    .iter()
+                    .map(|(cost, time)| FrontierPointSnapshot {
+                        cost_micro: cost.micro(),
+                        time_ticks: time.ticks(),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Rebuilds the layers front to back from their exported jobs with the
+    /// same [`pareto::next_layer`] that built them, so the points — and
+    /// their backpointers — are exactly the captured ones.
+    ///
+    /// Each layer's prefix fingerprint is recomputed from the stored
+    /// pairs, and the rebuild stops at the first layer whose key does not
+    /// match: the cache keeps only layers that provably describe their
+    /// job prefix. A format-1/2 layer stored cumulative frontier points
+    /// rather than its job; those in general fail this check (when they
+    /// pass, they are the job's pairs), so a legacy frontier resumes cold.
+    fn restore(cap: usize, layers: &[FrontierLayerSnapshot]) -> Self {
+        let mut cache = FrontierCache {
+            cap,
+            layers: Vec::with_capacity(layers.len()),
+        };
+        let mut acc = FNV_OFFSET;
+        for l in layers {
+            let job: JobPairs = l
+                .points
+                .iter()
+                .map(|p| {
+                    (
+                        Money::from_micro(p.cost_micro),
+                        TimeDelta::new(p.time_ticks),
+                    )
+                })
+                .collect();
+            acc = chain(fp_pairs(job.iter().copied()), acc);
+            if acc != l.prefix_fp {
+                break;
+            }
+            let layer = cache.next_layer(&job);
+            cache.layers.push(FrontierLayer {
+                prefix_fp: l.prefix_fp,
+                job,
+                layer,
+            });
+        }
+        cache
     }
 }
 
@@ -561,31 +651,16 @@ impl IncrementalOptimizer {
             time_min: self.time_min.snapshot(),
             time_min_resolution: self.time_min_resolution,
             frontier_cap: self.frontier.cap as u64,
-            frontier_layers: self
-                .frontier
-                .layers
-                .iter()
-                .map(|l| FrontierLayerSnapshot {
-                    prefix_fp: l.prefix_fp,
-                    points: l
-                        .layer
-                        .iter()
-                        .map(|p| FrontierPointSnapshot {
-                            cost_micro: p.cost.micro(),
-                            time_ticks: p.time.ticks(),
-                            alt: p.alt as u64,
-                            parent: p.parent as u64,
-                        })
-                        .collect(),
-                })
-                .collect(),
+            frontier_layers: self.frontier.snapshot(),
             stats: self.stats,
         }
     }
 
-    /// Rebuilds an optimizer from a [`Self::snapshot`] export. The restored
+    /// Rebuilds an optimizer from a [`Self::snapshot`] export, recomputing
+    /// every cached row and layer from its inputs. The restored
     /// optimizer's subsequent solves produce the same results and the same
-    /// [`OptStats`] deltas as the captured one's would have.
+    /// [`OptStats`] deltas as the captured one's would have; the rebuild
+    /// itself is not counted.
     #[must_use]
     pub fn from_snapshot(snapshot: &OptimizerSnapshot) -> Self {
         IncrementalOptimizer {
@@ -593,26 +668,10 @@ impl IncrementalOptimizer {
             cost_max: DpCache::restore(Sense::Maximize, &snapshot.cost_max),
             time_min: DpCache::restore(Sense::Minimize, &snapshot.time_min),
             time_min_resolution: snapshot.time_min_resolution,
-            frontier: FrontierCache {
-                cap: snapshot.frontier_cap as usize,
-                layers: snapshot
-                    .frontier_layers
-                    .iter()
-                    .map(|l| FrontierLayer {
-                        prefix_fp: l.prefix_fp,
-                        layer: l
-                            .points
-                            .iter()
-                            .map(|p| Point {
-                                cost: Money::from_micro(p.cost_micro),
-                                time: TimeDelta::new(p.time_ticks),
-                                alt: p.alt as usize,
-                                parent: p.parent as usize,
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            },
+            frontier: FrontierCache::restore(
+                snapshot.frontier_cap as usize,
+                &snapshot.frontier_layers,
+            ),
             stats: snapshot.stats,
             threads: 1,
         }
@@ -1058,6 +1117,72 @@ mod tests {
             "a restored cache must reuse and rebuild exactly what the \
              original would"
         );
+    }
+
+    /// The rebuilt caches hold exactly the captured rows and layers.
+    #[test]
+    fn restore_rebuilds_rows_and_layers_exactly() {
+        let (t, mut original) = warmed();
+        // Widen one cache in place so restore must rebuild at a width no
+        // single from-scratch solve used.
+        original
+            .max_cost_under_time(&t, TimeDelta::new(150))
+            .unwrap();
+        let restored = IncrementalOptimizer::from_snapshot(&original.snapshot());
+        let pairs = [
+            (&original.cost_min, &restored.cost_min),
+            (&original.cost_max, &restored.cost_max),
+            (&original.time_min, &restored.time_min),
+        ];
+        for (a, b) in pairs {
+            assert!(!a.entries.is_empty());
+            assert_eq!(a.width, b.width);
+            let rows = |c: &DpCache| c.entries.iter().map(|e| e.row.clone()).collect::<Vec<_>>();
+            assert_eq!(rows(a), rows(b));
+        }
+        let points = |c: &FrontierCache| {
+            c.layers
+                .iter()
+                .map(|l| {
+                    l.layer
+                        .iter()
+                        .map(|p| (p.cost, p.time, p.alt, p.parent))
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(original.frontier.layers.len(), t.len());
+        assert_eq!(points(&original.frontier), points(&restored.frontier));
+    }
+
+    /// A layer whose stored pairs do not hash to its key is dropped on
+    /// restore, with every layer after it. A format-1/2 layer, which
+    /// stored its cumulative frontier points instead of its job, is such a
+    /// layer.
+    #[test]
+    fn restore_drops_layers_whose_pairs_miss_their_key() {
+        let (t, mut original) = warmed();
+        let mut snapshot = original.snapshot();
+        assert!(t.len() >= 3);
+        snapshot.frontier_layers[1].points = original.frontier.layers[1]
+            .layer
+            .iter()
+            .map(|p| FrontierPointSnapshot {
+                cost_micro: p.cost.micro(),
+                time_ticks: p.time.ticks(),
+            })
+            .collect();
+        let mut restored = IncrementalOptimizer::from_snapshot(&snapshot);
+        assert_eq!(restored.frontier.layers.len(), 1, "only layer 0 is kept");
+
+        let before = restored.stats();
+        let budget = Money::from_credits(20);
+        let a = original.pareto_min_time_under_budget(&t, budget).unwrap();
+        let b = restored.pareto_min_time_under_budget(&t, budget).unwrap();
+        assert_eq!(a, b);
+        let delta = restored.stats().delta_since(&before);
+        assert_eq!(delta.frontier_reused, 1);
+        assert_eq!(delta.frontier_rebuilt, t.len() as u64 - 1);
     }
 
     #[test]

@@ -36,15 +36,22 @@ pub(crate) fn seed_layer() -> Vec<Point> {
     }]
 }
 
+/// One job's alternatives as the `(cost, time)` pairs a layer is built
+/// from, in alternative order.
+pub(crate) fn job_pairs(ja: &JobAlternatives) -> Vec<(Money, TimeDelta)> {
+    ja.iter().map(|a| (a.cost(), a.time())).collect()
+}
+
 /// Builds the next frontier layer: every (previous point × alternative)
-/// candidate, pruned down to the Pareto-optimal set.
-pub(crate) fn next_layer(previous: &[Point], ja: &JobAlternatives) -> Vec<Point> {
-    let mut candidates: Vec<Point> = Vec::with_capacity(previous.len() * ja.len());
+/// candidate, pruned down to the Pareto-optimal set. A pure function of
+/// the previous layer and the job's `(cost, time)` pairs.
+pub(crate) fn next_layer(previous: &[Point], job: &[(Money, TimeDelta)]) -> Vec<Point> {
+    let mut candidates: Vec<Point> = Vec::with_capacity(previous.len() * job.len());
     for (parent, prev) in previous.iter().enumerate() {
-        for (alt, a) in ja.iter().enumerate() {
+        for (alt, &(cost, time)) in job.iter().enumerate() {
             candidates.push(Point {
-                cost: prev.cost + a.cost(),
-                time: prev.time + a.time(),
+                cost: prev.cost + cost,
+                time: prev.time + time,
                 alt,
                 parent,
             });
@@ -118,7 +125,7 @@ impl<'a> ParetoFrontier<'a> {
         let mut layers: Vec<Vec<Point>> = Vec::with_capacity(alternatives.len());
         let mut previous: Vec<Point> = seed_layer();
         for ja in alternatives {
-            let frontier = next_layer(&previous, ja);
+            let frontier = next_layer(&previous, &job_pairs(ja));
             check_cap(frontier.len(), cap)?;
             layers.push(frontier.clone());
             previous = frontier;

@@ -197,20 +197,22 @@ impl FederatedSnapshotStore {
     /// fsync, rename, directory fsync) and prunes old snapshots. File
     /// names are keyed by merged-log length, so lexical order is
     /// capture order; re-saving the same length overwrites the previous
-    /// capture (the states are identical by determinism).
+    /// capture (the states are identical by determinism). Returns the
+    /// finished file's path and its size in bytes.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on any filesystem failure.
-    pub fn save(&self, checkpoint: &FederationCheckpoint) -> Result<PathBuf, PersistError> {
+    pub fn save(&self, checkpoint: &FederationCheckpoint) -> Result<(PathBuf, u64), PersistError> {
         let meta = FederatedSnapshotMeta::of(checkpoint);
+        let bytes = encode_federated_snapshot(checkpoint);
         let final_path = atomic_save(
             &self.dir,
             &file_name_for(PREFIX, meta.merged_events),
-            &encode_federated_snapshot(checkpoint),
+            &bytes,
         )?;
         self.prune()?;
-        Ok(final_path)
+        Ok((final_path, bytes.len() as u64))
     }
 
     /// Federated snapshot paths in capture order (oldest first). Temp
@@ -365,7 +367,7 @@ mod tests {
         let store = FederatedSnapshotStore::open(&dir, 4).unwrap();
         let (_, snaps) = checkpoints(2);
         store.save(&snaps[0]).unwrap();
-        let newest = store.save(&snaps[1]).unwrap();
+        let (newest, _) = store.save(&snaps[1]).unwrap();
 
         let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;

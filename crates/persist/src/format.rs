@@ -34,11 +34,19 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 /// * **2** — the vacant market may serialize in the tagged per-node
 ///   interval form (`{"repr": "interval", …}`). The container layout is
 ///   unchanged; the bump marks the payload schema extension.
+/// * **3** — the optimizer section carries the caches' *inputs* (each DP
+///   row's items, each Pareto layer's job) instead of their values; a
+///   resumed engine rebuilds the caches. Layout unchanged again.
 ///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
 /// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
-/// build and resumes into either market representation.
-pub const FORMAT_VERSION: u32 = 2;
+/// build and resumes into either market representation. In v1/v2
+/// payloads the stored DP row values are ignored (the rows are rebuilt
+/// from their items, exactly). Their stored Pareto layers hold frontier
+/// points, which cannot be turned back into jobs: the optimizer's restore
+/// recomputes each layer's prefix fingerprint from the stored pairs, a
+/// legacy layer does not match, and the frontier resumes cold.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The oldest container format version this build still decodes.
 pub const MIN_FORMAT_VERSION: u32 = 1;

@@ -19,13 +19,15 @@ use ecosched_select::Amp;
 use ecosched_sim::{JobGenConfig, RevocationConfig};
 use proptest::prelude::*;
 
-/// The fixed configuration both golden fixtures were generated under.
-/// Keep in sync with `tests/data/golden_v2.snap` — regenerate that
+/// The fixed configuration every golden fixture was generated under.
+/// Keep in sync with `tests/data/golden_v3.snap` — regenerate that
 /// fixture (see `regenerate_golden_fixture`) whenever the checkpoint
-/// schema or this configuration changes. `tests/data/golden_v1.snap` is
-/// **frozen**: it is the migration witness, a container-format-1 snapshot
-/// whose market serialized in the flat form, and must never be
-/// regenerated by this build.
+/// schema or this configuration changes. `tests/data/golden_v1.snap` and
+/// `tests/data/golden_v2.snap` are **frozen** migration witnesses and
+/// must never be regenerated by this build: v1 is a container-format-1
+/// snapshot whose market serialized in the flat form; v2 (interval-form
+/// market) and v1 both store the optimizer's DP row values, which format
+/// 3 replaced by the rows' inputs.
 fn golden_config() -> EngineConfig {
     EngineConfig {
         cycles: 3,
@@ -42,6 +44,10 @@ fn golden_config() -> EngineConfig {
 const GOLDEN_SEED: u64 = 42;
 
 fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_v3.snap")
+}
+
+fn golden_v2_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_v2.snap")
 }
 
@@ -133,6 +139,44 @@ fn flat_v1_fixture_migrates_into_the_interval_engine() {
     let baseline = engine.run(GOLDEN_SEED).expect("baseline");
     let suffix: Vec<LogEntry> = baseline.log.entries[checkpoint.log.len()..].to_vec();
     let recovered = resume_from(&engine, &bytes, &suffix).expect("resume v1 under interval");
+    assert_eq!(recovered, baseline);
+}
+
+/// The frozen format-2 fixture — written by a build whose optimizer
+/// section stored every cached DP row's values — still decodes, matches
+/// the checkpoint this build generates (the legacy row values are
+/// dropped; the rows' items, fingerprints and widths are what both
+/// carry), and resumes into a run that is byte-identical to the
+/// uninterrupted baseline, optimizer work counters included: the rows
+/// rebuilt from their items are the rows the legacy file stored.
+#[test]
+fn v2_fixture_migrates_into_the_input_only_optimizer() {
+    let bytes = std::fs::read(golden_v2_path()).expect("frozen v2 fixture bytes");
+    assert_eq!(
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+        2,
+        "the v2 fixture must stay a format-2 container; never regenerate it"
+    );
+    let checkpoint = decode_snapshot(&bytes).expect("v2 fixture must keep decoding");
+    assert_eq!(
+        checkpoint,
+        golden_checkpoint(),
+        "v2 fixture drifted from code"
+    );
+    let optimizer = checkpoint.optimizer.as_ref().expect("cache on");
+    assert!(
+        !optimizer.cost_max.rows.is_empty(),
+        "the fixture must carry cached rows to rebuild"
+    );
+
+    let engine = Engine::new(golden_config(), Amp::new()).expect("golden config");
+    let meta = peek_meta(&bytes).expect("v2 fixture meta");
+    assert_eq!(meta.config_fp, engine.config_fingerprint());
+
+    let baseline = engine.run(GOLDEN_SEED).expect("baseline");
+    let suffix: Vec<LogEntry> = baseline.log.entries[checkpoint.log.len()..].to_vec();
+    let recovered = resume_from(&engine, &bytes, &suffix).expect("resume v2");
+    assert_eq!(recovered.report.opt, baseline.report.opt);
     assert_eq!(recovered, baseline);
 }
 
@@ -318,8 +362,8 @@ proptest! {
 
     /// Any truncation of a real snapshot fails with a typed error — no
     /// panic, no partial state. `encode_snapshot` of the golden
-    /// checkpoint exercises the v2 interval-form market section; the
-    /// frozen fixture exercises the v1 flat-form one.
+    /// checkpoint exercises the current format (interval-form market
+    /// section); the frozen fixture exercises the v1 flat-form one.
     #[test]
     fn truncation_is_rejected(cut_permille in 0u32..1000) {
         let bytes = encode_snapshot(&golden_checkpoint());
@@ -332,7 +376,7 @@ proptest! {
     }
 
     /// Any single corrupted byte in a real snapshot fails with a typed
-    /// error — in both the v2 interval-form and v1 flat-form containers.
+    /// error — in both the current (interval-form) and v1 flat-form containers.
     #[test]
     fn byte_corruption_is_rejected(pos_permille in 0u32..1000, mask in 1u8..=255) {
         let mut bytes = encode_snapshot(&golden_checkpoint());

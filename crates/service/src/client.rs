@@ -122,7 +122,10 @@ impl Client {
                 std::thread::sleep(backoff);
             }
             let connected = match endpoint {
-                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+                Endpoint::Tcp(addr) => TcpStream::connect(addr).and_then(|s| {
+                    s.set_nodelay(true)?;
+                    Ok(Stream::Tcp(s))
+                }),
                 Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
             };
             match connected {

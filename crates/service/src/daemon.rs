@@ -225,6 +225,10 @@ fn spawn_listener(listen: &Endpoint, tx: mpsc::Sender<Inbound>) -> Result<Endpoi
             let bound = Endpoint::Tcp(listener.local_addr()?.to_string());
             std::thread::spawn(move || {
                 for stream in listener.incoming().flatten() {
+                    // Replies are small and latency-bound: without
+                    // TCP_NODELAY, Nagle holds each one back until the
+                    // peer's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     let tx = tx.clone();
                     std::thread::spawn(move || {
                         let reader = match stream.try_clone() {
@@ -297,7 +301,11 @@ fn handle_connection<R: std::io::Read, W: std::io::Write>(
             }
         };
         let done = matches!(response, Response::ShuttingDown);
-        if writeln!(writer, "{}", encode_line(&response)).is_err() {
+        // One write per reply line, newline included, so the line never
+        // leaves as two segments.
+        let mut out = encode_line(&response);
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
             return;
         }
         let _ = writer.flush();

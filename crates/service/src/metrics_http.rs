@@ -39,6 +39,7 @@ pub fn spawn_metrics_listener(
             let bound = Endpoint::Tcp(listener.local_addr()?.to_string());
             std::thread::spawn(move || {
                 for stream in listener.incoming().flatten() {
+                    let _ = stream.set_nodelay(true);
                     let recorder = recorder.clone();
                     let obs = obs.clone();
                     std::thread::spawn(move || serve_one(stream, &recorder, &obs));

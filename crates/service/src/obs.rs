@@ -63,6 +63,13 @@ pub struct ServiceIds {
     pub wal_fsync_us: HistogramId,
     /// `ecosched_service_ack_us` — serve-loop batch intake to ack send.
     pub ack_us: HistogramId,
+    /// `ecosched_service_snapshot_write_us` — one observation per rotated
+    /// snapshot (encode, write and fsync), so its count equals the
+    /// snapshots counter.
+    pub snapshot_write_us: HistogramId,
+    /// `ecosched_service_snapshot_bytes` gauge — the newest snapshot's
+    /// size.
+    pub snapshot_bytes: GaugeId,
     /// `ecosched_service_backlog` gauge.
     pub backlog: GaugeId,
     /// `ecosched_service_virtual_time` gauge.
@@ -109,6 +116,15 @@ impl ServiceIds {
                 "Serve-loop latency from batch intake to acknowledgement send, \
                  in microseconds",
                 Buckets::pow2(1, 20),
+            ),
+            snapshot_write_us: b.histogram(
+                "ecosched_service_snapshot_write_us",
+                "Rotated snapshot encode, write and fsync wall time in microseconds",
+                Buckets::pow2(1, 24),
+            ),
+            snapshot_bytes: b.gauge(
+                "ecosched_service_snapshot_bytes",
+                "Size in bytes of the newest rotated snapshot",
             ),
             backlog: b.gauge(
                 "ecosched_service_backlog",
@@ -205,10 +221,14 @@ impl ServiceObs {
         }
     }
 
-    /// A rotated snapshot was written.
-    pub fn on_snapshot(&self) {
+    /// A rotated snapshot of `bytes` bytes was written in `write` wall
+    /// time (encode, write and fsync).
+    pub fn on_snapshot(&self, bytes: u64, write: Duration) {
         if let Some(i) = self.inner.as_deref() {
             i.rec.inc(i.ids.snapshots);
+            i.rec.set(i.ids.snapshot_bytes, bytes as f64);
+            let us = write.as_micros().min(u128::from(u64::MAX)) as u64;
+            i.rec.observe(i.ids.snapshot_write_us, us);
         }
     }
 
@@ -345,6 +365,27 @@ mod tests {
             .find_counter("ecosched_service_wal_commits_total", &[])
             .expect("registered");
         assert_eq!(reg.counter_value(commits), 2, "empty commits don't count");
+    }
+
+    #[test]
+    fn snapshot_histogram_count_tracks_snapshots() {
+        let bundle = build_service_obs(1);
+        let obs = &bundle.service;
+        obs.on_snapshot(4_000, Duration::from_micros(300));
+        obs.on_snapshot(1_500, Duration::from_millis(40));
+        let reg = bundle.recorder.registry().expect("recorder on");
+        let snapshots = reg
+            .find_counter("ecosched_service_snapshots_total", &[])
+            .expect("registered");
+        let write = reg
+            .find_histogram("ecosched_service_snapshot_write_us", &[])
+            .expect("registered");
+        let bytes = reg
+            .find_gauge("ecosched_service_snapshot_bytes", &[])
+            .expect("registered");
+        assert_eq!(reg.counter_value(snapshots), 2);
+        assert_eq!(reg.histogram_count(write), 2);
+        assert_eq!(reg.gauge_value(bytes), 1_500.0, "the newest size");
     }
 
     #[test]

@@ -457,8 +457,12 @@ impl<S: SlotSelector + Copy> Session<S> {
     ///
     /// Snapshot write failures.
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
-        let path = self.store.save(&self.fed.checkpoint(&self.state))?;
-        self.obs.on_snapshot();
+        let checkpoint = self.fed.checkpoint(&self.state);
+        let start = self.obs.is_on().then(std::time::Instant::now);
+        let (path, bytes) = self.store.save(&checkpoint)?;
+        if let Some(start) = start {
+            self.obs.on_snapshot(bytes, start.elapsed());
+        }
         Ok(path)
     }
 
