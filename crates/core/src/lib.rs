@@ -47,7 +47,6 @@
 
 mod alternative;
 mod error;
-mod interval;
 mod job;
 mod lease;
 mod money;
@@ -61,7 +60,6 @@ mod window;
 
 pub use alternative::{Alternative, BatchAlternatives, JobAlternatives};
 pub use error::CoreError;
-pub use interval::{IntervalSet, MergeOutcome, Run};
 pub use job::{Batch, Job, JobId};
 pub use lease::{Lease, LeaseOrigin, Revocation, RevocationReason};
 pub use money::{Money, Price, MONEY_SCALE};
@@ -69,6 +67,6 @@ pub use perf::{Perf, PERF_SCALE};
 pub use request::ResourceRequest;
 pub use resource::{NodeId, Resource};
 pub use slot::{Slot, SlotId};
-pub use slot_list::{MarketRepr, SlotIntoIter, SlotIter, SlotList, SubtractionReport};
+pub use slot_list::{MarketRepr, SlotList, SubtractionReport};
 pub use time::{Span, TimeDelta, TimePoint};
 pub use window::{Window, WindowSlot};

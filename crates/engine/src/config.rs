@@ -69,7 +69,7 @@ impl ArrivalConfig {
 }
 
 /// Configuration of one discrete-event engine run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Ticks between scheduling cycles (slot publication and `CycleTick`
     /// both fire on this period; revocation strikes fire mid-period).
@@ -128,72 +128,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// The job stream.
     pub arrivals: ArrivalConfig,
-    /// Whether the vacant market uses the interval-timeline representation
-    /// ([`ecosched_core::MarketRepr::Interval`]) instead of the flat
-    /// start-ordered list. Like `threads`, an execution knob and **never**
-    /// an outcome knob: the two representations are observably identical
-    /// (same slots, same minted ids, same iteration order), so the engine
-    /// report and event-log hash are byte-identical either way — the A/B
-    /// determinism tests pin exactly that. The flag is therefore *omitted*
-    /// from the serialized form and from the configuration fingerprint
-    /// (decoding always yields the default `true`), which keeps old
-    /// checkpoints resumable under either representation. Default on.
-    pub interval_market: bool,
-}
-
-// Manual serde, replicating the derive's field order for every field
-// except `interval_market`, which is deliberately absent from the wire:
-// the representation never changes an outcome, so fingerprints and
-// checkpoints must not depend on it (a decoded config always carries the
-// default `true`; flip it in code for A/B runs).
-impl Serialize for EngineConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("cycle_length".to_string(), self.cycle_length.to_value()),
-            ("cycles".to_string(), self.cycles.to_value()),
-            ("slot_gen".to_string(), self.slot_gen.to_value()),
-            ("revocation".to_string(), self.revocation.to_value()),
-            ("repair".to_string(), self.repair.to_value()),
-            ("iteration".to_string(), self.iteration.to_value()),
-            (
-                "optimizer_cache".to_string(),
-                self.optimizer_cache.to_value(),
-            ),
-            ("coalesce".to_string(), self.coalesce.to_value()),
-            ("vos".to_string(), self.vos.to_value()),
-            (
-                "completion_fraction".to_string(),
-                self.completion_fraction.to_value(),
-            ),
-            ("slowdown_tau".to_string(), self.slowdown_tau.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
-            ("arrivals".to_string(), self.arrivals.to_value()),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for EngineConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(EngineConfig {
-            cycle_length: Deserialize::from_value(serde::get_field(value, "cycle_length")?)?,
-            cycles: Deserialize::from_value(serde::get_field(value, "cycles")?)?,
-            slot_gen: Deserialize::from_value(serde::get_field(value, "slot_gen")?)?,
-            revocation: Deserialize::from_value(serde::get_field(value, "revocation")?)?,
-            repair: Deserialize::from_value(serde::get_field(value, "repair")?)?,
-            iteration: Deserialize::from_value(serde::get_field(value, "iteration")?)?,
-            optimizer_cache: Deserialize::from_value(serde::get_field(value, "optimizer_cache")?)?,
-            coalesce: Deserialize::from_value(serde::get_field(value, "coalesce")?)?,
-            vos: Deserialize::from_value(serde::get_field(value, "vos")?)?,
-            completion_fraction: Deserialize::from_value(serde::get_field(
-                value,
-                "completion_fraction",
-            )?)?,
-            slowdown_tau: Deserialize::from_value(serde::get_field(value, "slowdown_tau")?)?,
-            threads: Deserialize::from_value(serde::get_field(value, "threads")?)?,
-            arrivals: Deserialize::from_value(serde::get_field(value, "arrivals")?)?,
-            interval_market: true,
-        })
-    }
 }
 
 impl Default for EngineConfig {
@@ -218,7 +152,6 @@ impl Default for EngineConfig {
                 jobs: 40,
                 job_gen: JobGenConfig::default(),
             },
-            interval_market: true,
         }
     }
 }

@@ -20,9 +20,18 @@
 //!   slots plus active leases, via `RevocationModel::draw_live`) and runs
 //!   the three-tier repair pass on every broken lease;
 //! * `LeaseCompleted` retires a lease and returns its unused tail
-//!   capacity to the vacant list through a sorted merge
-//!   (`SlotList::from_sorted_slots`);
-//! * `SlotExpired` sweeps fully elapsed vacant slots.
+//!   capacity to the vacant list in one sorted merge
+//!   (`SlotList::insert_batch`);
+//! * `SlotExpired` sweeps fully elapsed vacant slots in one pass
+//!   (`SlotList::remove_expired`): only the `start < now` prefix of the
+//!   start-ordered list can hold a dead slot, and it is compacted in
+//!   place.
+//!
+//! Every bulk return to the market — published slots, released
+//! alternatives, returned tails, surviving fragments of a struck window —
+//! mints its ids one by one in a fixed order and then goes in as one
+//! `insert_batch`, so the list is merged once per event rather than
+//! spliced once per slot.
 //!
 //! The run loop is decomposed for checkpoint/restore: [`Engine::start`]
 //! builds a [`RunState`], [`Engine::step`] processes exactly one event,
@@ -36,8 +45,8 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Batch, Job, JobId, Lease, MarketRepr, NodeId, ResourceRequest, Revocation, Slot, SlotList,
-    Span, TimeDelta, TimePoint, Window,
+    Batch, Job, JobId, Lease, NodeId, ResourceRequest, Revocation, Slot, SlotList, Span, TimeDelta,
+    TimePoint, Window,
 };
 use ecosched_optimize::IncrementalOptimizer;
 use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
@@ -449,17 +458,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
         &self.config
     }
 
-    /// The market representation this engine runs with — interval
-    /// timelines unless `interval_market` is switched off for an A/B run.
-    #[must_use]
-    pub fn market_repr(&self) -> MarketRepr {
-        if self.config.interval_market {
-            MarketRepr::Interval
-        } else {
-            MarketRepr::Flat
-        }
-    }
-
     /// FNV-1a 64 fingerprint of the configuration and selector name.
     ///
     /// Checkpoints carry this value; [`Self::resume`] refuses a
@@ -469,8 +467,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
     /// `threads` is normalized to 1 before hashing: the worker-thread
     /// budget never changes an outcome, so a checkpoint captured on one
     /// machine must replay on another with a different thread count.
-    /// `interval_market` never reaches the hash at all — the
-    /// representation flag is absent from the serialized configuration.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
         let mut normalized = self.config.clone();
@@ -529,7 +525,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
             arrivals,
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
-            vacant: SlotList::new_with_repr(self.market_repr()),
+            vacant: SlotList::new(),
             next_node: 0,
             pending: Vec::new(),
             leases: BTreeMap::new(),
@@ -746,10 +742,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .collect(),
             slot_gen: SlotGenerator::new(self.config.slot_gen),
             revocation: RevocationModel::new(self.config.revocation),
-            // A checkpoint may carry either market representation; the
-            // resumed run uses the one this engine is configured for
-            // (the conversion is observable-state-preserving).
-            vacant: checkpoint.vacant.clone().with_repr(self.market_repr()),
+            vacant: checkpoint.vacant.clone(),
             next_node: checkpoint.next_node,
             pending: checkpoint
                 .pending
@@ -920,7 +913,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .remove(&reservation)
             .ok_or(ReserveError::Unknown { reservation })?;
         if !held.broken {
-            release_window(&mut state.vacant, &held.window);
+            let mut released = Vec::new();
+            mint_released(&mut state.vacant, &held.window, &mut released);
+            state
+                .vacant
+                .insert_batch(released)
+                .expect("released regions were carved from this list");
         }
         Ok(())
     }
@@ -949,6 +947,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 let generated = state
                     .slot_gen
                     .generate_exact(&mut state.rng, count as usize);
+                let mut published = Vec::with_capacity(generated.len());
                 for s in generated.iter() {
                     let id = state.vacant.mint_id();
                     let node = NodeId::new(state.next_node);
@@ -963,26 +962,19 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     state
                         .queue
                         .push(span.end(), Event::SlotExpired { slot: id.raw() });
-                    state
-                        .vacant
-                        .insert(slot)
-                        .expect("fresh nodes cannot collide with existing slots");
+                    published.push(slot);
                 }
+                state
+                    .vacant
+                    .insert_batch(published)
+                    .expect("fresh nodes cannot collide with existing slots");
             }
 
             Event::SlotExpired { .. } => {
                 // The id is only a trigger: sweep everything that has
                 // fully elapsed (remnants carved from expired slots
                 // carry fresh ids but the same end bound).
-                let dead: Vec<(NodeId, Span)> = state
-                    .vacant
-                    .iter()
-                    .filter(|s| s.end() <= now)
-                    .map(|s| (s.node(), s.span()))
-                    .collect();
-                for (node, span) in dead {
-                    state.vacant.remove_region(node, span);
-                }
+                state.vacant.remove_expired(now);
             }
 
             Event::CycleTick { cycle } => {
@@ -1012,7 +1004,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     .collect();
                 let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
                 let parallelism = Parallelism::new(self.config.threads);
-                let result = if self.config.optimizer_cache {
+                let mut result = if self.config.optimizer_cache {
                     run_iteration_cached_with(
                         self.selector,
                         &market,
@@ -1031,6 +1023,9 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     )?
                 };
                 state.report.opt.merge(&result.opt);
+                // The post-commit vacant list starts from whatever the
+                // search left.
+                let mut exec = std::mem::take(&mut result.search.remaining);
                 let per_job = result.search.alternatives.per_job();
 
                 let mut chosen: Vec<Option<usize>> = vec![None; batch.len()];
@@ -1040,19 +1035,20 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     }
                 }
 
-                // The post-commit vacant list: whatever the search left,
-                // plus every non-chosen alternative released back (they
-                // stay adoptable for failover until something else
-                // consumes their time).
-                let mut exec = result.search.remaining.clone();
+                // Every non-chosen alternative is released back (they stay
+                // adoptable for failover until something else consumes
+                // their time).
+                let mut released = Vec::new();
                 for (i, ja) in per_job.iter().enumerate() {
                     for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
                         if chosen[i] == Some(alt_idx) {
                             continue;
                         }
-                        release_window(&mut exec, alt.window());
+                        mint_released(&mut exec, alt.window(), &mut released);
                     }
                 }
+                exec.insert_batch(released)
+                    .expect("released regions were carved from this list");
                 // Fragments accumulate at commit boundaries (released
                 // alternatives, returned tails, clip remnants); merging
                 // touching same-attribute neighbours keeps the list —
@@ -1326,7 +1322,7 @@ impl<S: SlotSelector + Copy> Engine<S> {
 
                 // Unused tails (members faster than the elapsed run, or
                 // the completion-fraction shortfall) return to the
-                // vacant list as ordinary inserts.
+                // vacant list as one batch.
                 let mut tails: Vec<Slot> = Vec::new();
                 for ws in al.window.slots() {
                     state.busy_ticks += ws.runtime().ticks().min(run);
@@ -1343,12 +1339,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
                         );
                     }
                 }
-                for tail in tails {
-                    state
-                        .vacant
-                        .insert(tail)
-                        .expect("returned tails are disjoint from the vacant list");
-                }
+                state
+                    .vacant
+                    .insert_batch(tails)
+                    .expect("returned tails are disjoint from the vacant list");
             }
         }
         Ok(())
@@ -1461,7 +1455,7 @@ struct ActiveLeaseSeed {
 /// to `[now, end)`, dropping fully elapsed ones. Ids are preserved, so the
 /// clipped slots stay in strictly increasing `(start, id)` order after the
 /// sort and the `O(m)` [`SlotList::from_sorted_slots`] constructor
-/// applies. The snapshot keeps the live list's representation.
+/// applies.
 fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
     let mut clipped: Vec<Slot> = Vec::with_capacity(vacant.len());
     for s in vacant.iter() {
@@ -1479,19 +1473,19 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
         }
     }
     clipped.sort_by_key(|s| (s.start(), s.id()));
-    SlotList::from_sorted_slots_with_repr(clipped, vacant.repr())
-        .expect("clipping preserves disjointness and unique ids")
+    SlotList::from_sorted_slots(clipped).expect("clipping preserves disjointness and unique ids")
 }
 
 /// Returns the surviving fragments of a revoked window — everything the
 /// strikes did not consume and that has not yet elapsed — to the vacant
-/// list as freshly minted slots.
+/// list as freshly minted slots, in one batch.
 fn return_surviving_fragments(
     vacant: &mut SlotList,
     window: &Window,
     revocations: &[Revocation],
     now: TimePoint,
 ) {
+    let mut returned = Vec::new();
     for ws in window.slots() {
         let mut fragments = vec![window.used_span(ws)];
         for r in revocations.iter().filter(|r| r.node == ws.node()) {
@@ -1510,23 +1504,27 @@ fn return_surviving_fragments(
             let span = Span::new(frag.start().max(now), frag.end())
                 .expect("clipped fragments are non-empty");
             let slot_id = vacant.mint_id();
-            let slot = Slot::new(slot_id, ws.node(), ws.perf(), ws.price(), span)
-                .expect("surviving fragments are non-empty");
-            vacant
-                .insert(slot)
-                .expect("revoked regions were held exclusively");
+            returned.push(
+                Slot::new(slot_id, ws.node(), ws.perf(), ws.price(), span)
+                    .expect("surviving fragments are non-empty"),
+            );
         }
     }
+    vacant
+        .insert_batch(returned)
+        .expect("revoked regions were held exclusively");
 }
 
-/// Returns a window's regions to `list` as freshly minted slots.
-fn release_window(list: &mut SlotList, window: &Window) {
+/// Mints a fresh slot for each of a window's regions and appends it to
+/// `out`, for the caller to return to `list` with
+/// [`SlotList::insert_batch`].
+fn mint_released(list: &mut SlotList, window: &Window, out: &mut Vec<Slot>) {
     for ws in window.slots() {
         let id = list.mint_id();
-        let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
-            .expect("window members have positive runtimes");
-        list.insert(slot)
-            .expect("released regions were carved from this list");
+        out.push(
+            Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
+                .expect("window members have positive runtimes"),
+        );
     }
 }
 

@@ -205,129 +205,6 @@ fn thread_count_is_outcome_invisible_without_cache() {
     assert_threads_invisible(config, 42, 3);
 }
 
-/// Runs the same seed under both market representations and asserts the
-/// outcome is byte-identical: same event log, same hash, same *full*
-/// report — the interval timeline must walk, carve, and return exactly
-/// the slots the flat list does, work counters included.
-fn assert_interval_market_invisible(config: EngineConfig, seed: u64) {
-    let interval = Engine::new(
-        EngineConfig {
-            interval_market: true,
-            ..config.clone()
-        },
-        Amp::new(),
-    )
-    .unwrap();
-    let flat = Engine::new(
-        EngineConfig {
-            interval_market: false,
-            ..config
-        },
-        Amp::new(),
-    )
-    .unwrap();
-    assert_eq!(
-        interval.config_fingerprint(),
-        flat.config_fingerprint(),
-        "the fingerprint must not see the market representation"
-    );
-    let a = interval.run(seed).unwrap();
-    let b = flat.run(seed).unwrap();
-    assert_eq!(a.log.to_json(), b.log.to_json());
-    assert_eq!(a.log.fnv1a_hash(), b.log.fnv1a_hash());
-    assert_eq!(a.report.to_json(), b.report.to_json());
-}
-
-#[test]
-fn interval_market_is_outcome_invisible() {
-    assert_interval_market_invisible(base_config(), 42);
-}
-
-#[test]
-fn interval_market_is_outcome_invisible_under_churn() {
-    assert_interval_market_invisible(churn_config(), 42);
-}
-
-#[test]
-fn interval_market_is_outcome_invisible_coscheduled() {
-    let config = EngineConfig {
-        iteration: IterationConfig {
-            search_mode: SearchMode::Coscheduled,
-            ..IterationConfig::default()
-        },
-        ..base_config()
-    };
-    assert_interval_market_invisible(config, 42);
-}
-
-#[test]
-fn interval_market_is_outcome_invisible_without_coalesce() {
-    // Coalescing is where the interval form's merge logic does real work;
-    // the uncoalesced run exercises pure fragmentation instead.
-    let config = EngineConfig {
-        coalesce: false,
-        ..churn_config()
-    };
-    assert_interval_market_invisible(config, 42);
-}
-
-#[test]
-fn interval_market_is_outcome_invisible_threaded() {
-    for config in [base_config(), churn_config()] {
-        assert_interval_market_invisible(
-            EngineConfig {
-                threads: 4,
-                ..config
-            },
-            42,
-        );
-    }
-}
-
-#[test]
-fn interval_market_is_outcome_invisible_on_trace_replay() {
-    // The E16-style path: trace-driven arrivals instead of Poisson.
-    let trace = parse_swf(
-        "; mini trace\r\n\
-         1 0 5 3600 4 -1 -1 4 3600 -1 1 1 1 1 1 1 -1 -1\r\n\
-         2 30 5 1800 2 -1 -1 2 2400 -1 1 1 1 1 1 1 -1 -1\r\n\
-         3 90 5 1200 1 -1 -1 1 1200 -1 1 1 1 1 1 1 -1 -1\r\n\
-         4 150 5 2400 2 -1 -1 2 3000 -1 1 1 1 1 1 1 -1 -1\r\n",
-    )
-    .unwrap();
-    let config = EngineConfig {
-        cycles: 4,
-        arrivals: ArrivalConfig::Trace {
-            trace,
-            import: SwfImportConfig::default(),
-        },
-        ..EngineConfig::default()
-    };
-    assert_interval_market_invisible(config, 9);
-}
-
-#[test]
-fn interval_market_flag_is_absent_from_the_wire() {
-    // The representation is an execution knob: serializing a flat-market
-    // config and decoding it must yield the default (interval) — the
-    // wire format, and with it every fingerprint and old checkpoint,
-    // never sees the flag.
-    let config = EngineConfig {
-        interval_market: false,
-        ..base_config()
-    };
-    let value = serde::Serialize::to_value(&config);
-    let decoded: EngineConfig = serde::Deserialize::from_value(&value).unwrap();
-    assert!(decoded.interval_market, "decode must yield the default");
-    assert_eq!(
-        decoded,
-        EngineConfig {
-            interval_market: true,
-            ..config
-        }
-    );
-}
-
 #[test]
 fn log_covers_the_full_event_taxonomy() {
     let engine = Engine::new(churn_config(), Amp::new()).unwrap();

@@ -38,9 +38,14 @@ pub const MAGIC: [u8; 8] = *b"ECOSNAP\0";
 ///   row's items, each Pareto layer's job) instead of their values; a
 ///   resumed engine rebuilds the caches. Layout unchanged again.
 ///
+/// Writers emit only the flat `{slots, next_id}` market form; the tagged
+/// interval form is still decoded (into the same flat list) because
+/// format-2 and format-3 snapshots written before the interval store was
+/// removed carry it.
+///
 /// Decoding accepts any version in [`MIN_FORMAT_VERSION`]`..=`
-/// [`FORMAT_VERSION`]: a v1 snapshot (flat market) decodes under this
-/// build and resumes into either market representation. In v1/v2
+/// [`FORMAT_VERSION`]: a snapshot of any of these versions decodes and
+/// resumes under this build. In v1/v2
 /// payloads the stored DP row values are ignored (the rows are rebuilt
 /// from their items, exactly). Their stored Pareto layers hold frontier
 /// points, which cannot be turned back into jobs: the optimizer's restore
