@@ -84,8 +84,7 @@ pub struct EngineConfig {
     /// `RevocationStrike` events are scheduled and no RNG is drawn for
     /// faults.
     pub revocation: RevocationConfig,
-    /// The per-broken-lease recovery budget for the three-tier repair
-    /// pass.
+    /// The per-broken-lease recovery budget for the repair ladder.
     pub repair: RepairPolicy,
     /// The scheduling pipeline configuration (criterion, optimizer,
     /// search mode).

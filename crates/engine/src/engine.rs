@@ -18,7 +18,9 @@
 //!   windows as leases with their surviving alternatives attached;
 //! * `RevocationStrike` draws faults against the *live* state (vacant
 //!   slots plus active leases, via `RevocationModel::draw_live`) and runs
-//!   the three-tier repair pass on every broken lease;
+//!   every broken lease up the repair ladder it shares with the
+//!   metascheduler (`ecosched_sim::RepairLadder`), anchored at the strike
+//!   time so nothing is re-committed in the past;
 //! * `LeaseCompleted` retires a lease and returns its unused tail
 //!   capacity to the vacant list in one sorted merge
 //!   (`SlotList::insert_batch`);
@@ -45,15 +47,16 @@
 use std::collections::BTreeMap;
 
 use ecosched_core::{
-    Batch, Job, JobId, Lease, NodeId, ResourceRequest, Revocation, Slot, SlotList, Span, TimeDelta,
-    TimePoint, Window,
+    Batch, Job, JobId, Lease, NodeId, ResourceRequest, Slot, SlotList, Span, TimeDelta, TimePoint,
+    Window,
 };
 use ecosched_optimize::IncrementalOptimizer;
-use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
+use ecosched_select::{try_adopt_window, RepairError, SlotSelector};
 use ecosched_sim::swf::batch_from_swf;
 use ecosched_sim::{
-    run_iteration_cached_with, run_iteration_with, ConfigError, IterationError, JobGenerator,
-    Parallelism, RevocationModel, SlotGenerator,
+    release_windows, return_surviving_fragments, run_iteration_cached_with, run_iteration_with,
+    ConfigError, IterationError, JobGenerator, Parallelism, RepairLadder, RepairOutcome,
+    RepairStats, RevocationModel, SlotGenerator,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
@@ -223,10 +226,7 @@ impl Reservation {
 /// A committed lease with everything repair and completion need.
 #[derive(Debug, Clone)]
 struct ActiveLease {
-    job: u32,
-    arrival: TimePoint,
-    vo: u32,
-    request: ResourceRequest,
+    job: PendingJob,
     window: Window,
     /// Surviving pre-computed alternatives, for tier-1 failover.
     alternatives: Vec<Window>,
@@ -667,10 +667,10 @@ impl<S: SlotSelector + Copy> Engine<S> {
                 .iter()
                 .map(|(id, al)| LeaseState {
                     lease: *id,
-                    job: al.job,
-                    arrival: al.arrival.ticks(),
-                    vo: al.vo,
-                    request: al.request,
+                    job: al.job.id,
+                    arrival: al.job.arrival.ticks(),
+                    vo: al.job.vo,
+                    request: al.job.request,
                     window: al.window.clone(),
                     alternatives: al.alternatives.clone(),
                     actual_length: al.actual_length.ticks(),
@@ -761,10 +761,12 @@ impl<S: SlotSelector + Copy> Engine<S> {
                     (
                         l.lease,
                         ActiveLease {
-                            job: l.job,
-                            arrival: TimePoint::new(l.arrival),
-                            vo: l.vo,
-                            request: l.request,
+                            job: PendingJob {
+                                id: l.job,
+                                arrival: TimePoint::new(l.arrival),
+                                vo: l.vo,
+                                request: l.request,
+                            },
                             window: l.window.clone(),
                             alternatives: l.alternatives.clone(),
                             actual_length: TimeDelta::new(l.actual_length),
@@ -860,38 +862,26 @@ impl<S: SlotSelector + Copy> Engine<S> {
         request: ResourceRequest,
         arrival: TimePoint,
     ) -> Result<(u32, u64), ReserveError> {
-        match state.reservations.get(&reservation) {
-            None => return Err(ReserveError::Unknown { reservation }),
-            Some(r) if r.broken => {
-                state.reservations.remove(&reservation);
-                return Err(ReserveError::Broken { reservation });
-            }
-            Some(_) => {}
-        }
         let held = state
             .reservations
             .remove(&reservation)
-            .expect("presence checked above");
+            .ok_or(ReserveError::Unknown { reservation })?;
+        if held.broken {
+            return Err(ReserveError::Broken { reservation });
+        }
         let job = state.arrivals.len() as u32;
         state.arrivals.push((arrival, request));
         state.report.jobs_arrived += 1;
         state.report.jobs_scheduled += 1;
         let vo = job % self.config.vos;
         state.report.vo_spend[vo as usize] += held.window.total_cost().to_f64();
-        let lease = state.next_lease;
-        self.commit_lease(
-            &mut state.queue,
-            &mut state.leases,
-            &mut state.next_lease,
-            ActiveLeaseSeed {
-                job,
-                arrival,
-                vo,
-                request,
-                window: held.window,
-                alternatives: Vec::new(),
-            },
-        );
+        let pending = PendingJob {
+            id: job,
+            arrival,
+            vo,
+            request,
+        };
+        let lease = self.commit_lease(state, pending, held.window, Vec::new());
         Ok((job, lease))
     }
 
@@ -913,18 +903,13 @@ impl<S: SlotSelector + Copy> Engine<S> {
             .remove(&reservation)
             .ok_or(ReserveError::Unknown { reservation })?;
         if !held.broken {
-            let mut released = Vec::new();
-            mint_released(&mut state.vacant, &held.window, &mut released);
-            state
-                .vacant
-                .insert_batch(released)
-                .expect("released regions were carved from this list");
+            release_windows(&mut state.vacant, [&held.window]);
         }
         Ok(())
     }
 
     /// Runs one event's handler. Every state change of the run happens
-    /// here, keyed by the event's type.
+    /// in one of these handlers, keyed by the event's type.
     fn handle(
         &self,
         state: &mut RunState,
@@ -932,451 +917,372 @@ impl<S: SlotSelector + Copy> Engine<S> {
         event: Event,
     ) -> Result<(), EngineError> {
         match event {
-            Event::JobArrival { job } => {
-                let (arrival, request) = state.arrivals[job as usize];
-                state.report.jobs_arrived += 1;
-                state.pending.push(PendingJob {
-                    id: job,
-                    arrival,
-                    vo: job % self.config.vos,
-                    request,
-                });
-            }
-
-            Event::SlotPublished { count, .. } => {
-                let generated = state
-                    .slot_gen
-                    .generate_exact(&mut state.rng, count as usize);
-                let mut published = Vec::with_capacity(generated.len());
-                for s in generated.iter() {
-                    let id = state.vacant.mint_id();
-                    let node = NodeId::new(state.next_node);
-                    state.next_node += 1;
-                    let span = Span::new(now + (s.start() - TimePoint::ZERO), {
-                        now + (s.end() - TimePoint::ZERO)
-                    })
-                    .expect("generated spans are non-empty");
-                    let slot = Slot::new(id, node, s.perf(), s.price(), span)
-                        .expect("generated slots are non-empty");
-                    state.published_ticks += span.length().ticks();
-                    state
-                        .queue
-                        .push(span.end(), Event::SlotExpired { slot: id.raw() });
-                    published.push(slot);
-                }
-                state
-                    .vacant
-                    .insert_batch(published)
-                    .expect("fresh nodes cannot collide with existing slots");
-            }
-
-            Event::SlotExpired { .. } => {
-                // The id is only a trigger: sweep everything that has
-                // fully elapsed (remnants carved from expired slots
-                // carry fresh ids but the same end bound).
-                state.vacant.remove_expired(now);
-            }
-
-            Event::CycleTick { cycle } => {
-                let market = clip_to_now(&state.vacant, now);
-                let market_slots = market.len();
-                if state.pending.is_empty() {
-                    state.report.cycles.push(CyclePoint {
-                        cycle,
-                        time: now.ticks(),
-                        market_slots,
-                        batch_size: 0,
-                        scheduled: 0,
-                        postponed: 0,
-                        mean_wait: 0.0,
-                        spend: 0.0,
-                    });
-                    return Ok(());
-                }
-
-                // Pending order is (arrival, id): the longest-waiting
-                // job takes the highest batch priority.
-                let jobs: Vec<Job> = state
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
-                    .collect();
-                let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
-                let parallelism = Parallelism::new(self.config.threads);
-                let mut result = if self.config.optimizer_cache {
-                    run_iteration_cached_with(
-                        self.selector,
-                        &market,
-                        &batch,
-                        &self.config.iteration,
-                        &mut state.optimizer,
-                        parallelism,
-                    )?
-                } else {
-                    run_iteration_with(
-                        self.selector,
-                        &market,
-                        &batch,
-                        &self.config.iteration,
-                        parallelism,
-                    )?
-                };
-                state.report.opt.merge(&result.opt);
-                // The post-commit vacant list starts from whatever the
-                // search left.
-                let mut exec = std::mem::take(&mut result.search.remaining);
-                let per_job = result.search.alternatives.per_job();
-
-                let mut chosen: Vec<Option<usize>> = vec![None; batch.len()];
-                if let Some(assignment) = &result.assignment {
-                    for choice in assignment.choices() {
-                        chosen[choice.job.index() as usize] = Some(choice.alternative);
-                    }
-                }
-
-                // Every non-chosen alternative is released back (they stay
-                // adoptable for failover until something else consumes
-                // their time).
-                let mut released = Vec::new();
-                for (i, ja) in per_job.iter().enumerate() {
-                    for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
-                        if chosen[i] == Some(alt_idx) {
-                            continue;
-                        }
-                        mint_released(&mut exec, alt.window(), &mut released);
-                    }
-                }
-                exec.insert_batch(released)
-                    .expect("released regions were carved from this list");
-                // Fragments accumulate at commit boundaries (released
-                // alternatives, returned tails, clip remnants); merging
-                // touching same-attribute neighbours keeps the list —
-                // and every later scan over it — small.
-                if self.config.coalesce {
-                    state.report.slots_coalesced += exec.coalesce() as u64;
-                }
-
-                let mut committed: usize = 0;
-                let mut cycle_wait: i64 = 0;
-                let mut cycle_spend: f64 = 0.0;
-                for (i, p) in state.pending.iter().enumerate() {
-                    let Some(alt_idx) = chosen[i] else { continue };
-                    let window = per_job[i].alternatives()[alt_idx].window().clone();
-                    let alternatives: Vec<Window> = per_job[i]
-                        .alternatives()
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != alt_idx)
-                        .map(|(_, a)| a.window().clone())
-                        .collect();
-                    let cost = window.total_cost().to_f64();
-                    cycle_wait += (window.start() - p.arrival).ticks();
-                    cycle_spend += cost;
-                    state.report.vo_spend[p.vo as usize] += cost;
-                    committed += 1;
-                    self.commit_lease(
-                        &mut state.queue,
-                        &mut state.leases,
-                        &mut state.next_lease,
-                        ActiveLeaseSeed {
-                            job: p.id,
-                            arrival: p.arrival,
-                            vo: p.vo,
-                            request: p.request,
-                            window,
-                            alternatives,
-                        },
-                    );
-                }
-                state.report.jobs_scheduled += committed as u64;
-
-                let carried: Vec<PendingJob> = state
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| chosen[*i].is_none())
-                    .map(|(_, p)| *p)
-                    .collect();
-                let cycle_mean_wait = if committed > 0 {
-                    cycle_wait as f64 / committed as f64
-                } else {
-                    0.0
-                };
-                state.report.cycles.push(CyclePoint {
-                    cycle,
-                    time: now.ticks(),
-                    market_slots,
-                    batch_size: state.pending.len(),
-                    scheduled: committed,
-                    postponed: carried.len(),
-                    mean_wait: cycle_mean_wait,
-                    spend: cycle_spend,
-                });
-                self.obs.on_cycle(
-                    now.ticks(),
-                    &result.search.stats,
-                    &result.opt,
-                    state.pending.len(),
-                    committed,
-                    cycle_mean_wait,
-                );
-                state.pending = carried;
-                state.vacant = exec;
-            }
-
-            Event::RevocationStrike { .. } => {
-                // Sample against the live surface: vacant slots, active
-                // lease regions (so strikes can land on windows carved by
-                // earlier repairs), and reserved-but-uncommitted windows
-                // (so strikes can land *between* the two phases of a
-                // cross-shard reservation). With no reservations held —
-                // every non-federated run — the surface and therefore
-                // the draw sequence is unchanged.
-                let lease_views: Vec<Lease> = state
-                    .leases
-                    .values()
-                    .map(|al| Lease::planned(JobId::new(al.job), al.window.clone()))
-                    .collect();
-                let reservation_views: Vec<(u64, Lease)> = state
-                    .reservations
-                    .iter()
-                    .filter(|(_, r)| !r.broken)
-                    .map(|(id, r)| (*id, Lease::planned(JobId::new(u32::MAX), r.window.clone())))
-                    .collect();
-                let surface: Vec<Lease> = lease_views
-                    .iter()
-                    .chain(reservation_views.iter().map(|(_, view)| view))
-                    .cloned()
-                    .collect();
-                let revocations =
-                    state
-                        .revocation
-                        .draw_live(&state.vacant, &surface, &mut state.rng);
-                state.report.revocations += revocations.len() as u64;
-                if revocations.is_empty() {
-                    return Ok(());
-                }
-                for r in &revocations {
-                    state.vacant.remove_region(r.node, r.span);
-                }
-
-                let broken: Vec<u64> = state
-                    .leases
-                    .keys()
-                    .copied()
-                    .zip(lease_views.iter())
-                    .filter(|(_, view)| revocations.iter().any(|r| view.broken_by(r)))
-                    .map(|(id, _)| id)
-                    .collect();
-
-                // Broken leases release their surviving future
-                // fragments first, so later repairs can reuse the time.
-                for id in &broken {
-                    let al = &state.leases[id];
-                    return_surviving_fragments(&mut state.vacant, &al.window, &revocations, now);
-                }
-                state.report.leases_broken += broken.len() as u64;
-
-                // Struck reservations break the same way, but there is
-                // no repair tier for them: the federation observes the
-                // break at commit time and releases the siblings.
-                for (id, view) in &reservation_views {
-                    if !revocations.iter().any(|r| view.broken_by(r)) {
-                        continue;
-                    }
-                    let held = state
-                        .reservations
-                        .get_mut(id)
-                        .expect("reservation views mirror held reservations");
-                    held.broken = true;
-                    state.reservations_broken += 1;
-                    let window = held.window.clone();
-                    return_surviving_fragments(&mut state.vacant, &window, &revocations, now);
-                }
-
-                // Three-tier recovery, in lease-id (commitment) order.
-                self.obs.on_repair(now.ticks(), broken.len());
-                for id in broken {
-                    let original = state.leases.remove(&id).expect("broken ids are live");
-                    let mut attempts: u32 = 0;
-                    let mut recovered: Option<(Window, Vec<Window>, bool)> = None;
-
-                    // Tier 1: adopt a surviving future alternative.
-                    for (alt_idx, alt) in original.alternatives.iter().enumerate() {
-                        if attempts >= self.config.repair.max_attempts {
-                            break;
-                        }
-                        if alt.start() < now {
-                            continue; // cannot launch in the past
-                        }
-                        attempts += 1;
-                        if try_adopt_window(alt, &mut state.vacant, &revocations).is_ok() {
-                            let rest: Vec<Window> = original
-                                .alternatives
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, _)| *j != alt_idx)
-                                .map(|(_, w)| w.clone())
-                                .collect();
-                            recovered = Some((alt.clone(), rest, true));
-                            break;
-                        }
-                    }
-
-                    // Tier 2: bounded repair search from the broken
-                    // window's start (never the past).
-                    if recovered.is_none() && attempts < self.config.repair.max_attempts {
-                        let mut scan = ScanStats::new();
-                        let resume_at = original.window.start().max(now);
-                        if let Some(window) = repair_search(
-                            &self.selector,
-                            &original.request,
-                            resume_at,
-                            &state.vacant,
-                            &mut scan,
-                        ) {
-                            state
-                                .vacant
-                                .subtract_window(&window)
-                                .expect("repair windows are carved from the vacant list");
-                            recovered = Some((window, Vec::new(), false));
-                        }
-                    }
-
-                    // Tier 2.5 (optional): the anchored repair is
-                    // exhausted. One full rescan of everything launchable
-                    // from `now` — strictly wider than the broken-start
-                    // anchor, so it can adopt windows that start earlier
-                    // than the broken plan (released fragments of other
-                    // broken leases make those feasible).
-                    if recovered.is_none() && self.config.repair.full_rescan_on_exhaustion {
-                        state.report.full_rescans += 1;
-                        let mut scan = ScanStats::new();
-                        if let Some(window) = repair_search(
-                            &self.selector,
-                            &original.request,
-                            now,
-                            &state.vacant,
-                            &mut scan,
-                        ) {
-                            state
-                                .vacant
-                                .subtract_window(&window)
-                                .expect("repair windows are carved from the vacant list");
-                            recovered = Some((window, Vec::new(), false));
-                        }
-                    }
-
-                    // Tier 3: back to the pending queue.
-                    match recovered {
-                        Some((window, alternatives, failover)) => {
-                            if failover {
-                                state.report.failovers += 1;
-                            } else {
-                                state.report.repairs += 1;
-                            }
-                            // The old lease id dies here; its pending
-                            // completion event goes stale.
-                            self.commit_lease(
-                                &mut state.queue,
-                                &mut state.leases,
-                                &mut state.next_lease,
-                                ActiveLeaseSeed {
-                                    job: original.job,
-                                    arrival: original.arrival,
-                                    vo: original.vo,
-                                    request: original.request,
-                                    window,
-                                    alternatives,
-                                },
-                            );
-                        }
-                        None => {
-                            state.report.repostponed += 1;
-                            state.pending.push(PendingJob {
-                                id: original.job,
-                                arrival: original.arrival,
-                                vo: original.vo,
-                                request: original.request,
-                            });
-                            state.pending.sort_by_key(|p| (p.arrival, p.id));
-                        }
-                    }
-                }
-            }
-
-            Event::LeaseCompleted { lease } => {
-                let Some(al) = state.leases.remove(&lease) else {
-                    // The lease broke and was replaced after this event
-                    // was scheduled.
-                    state.report.stale_completions += 1;
-                    return Ok(());
-                };
-                state.report.jobs_completed += 1;
-                let run = al.actual_length.ticks();
-                let wait = (al.window.start() - al.arrival).ticks();
-                state.wait_sum += wait as f64;
-                state.slowdown_sum +=
-                    ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
-
-                // Unused tails (members faster than the elapsed run, or
-                // the completion-fraction shortfall) return to the
-                // vacant list as one batch.
-                let mut tails: Vec<Slot> = Vec::new();
-                for ws in al.window.slots() {
-                    state.busy_ticks += ws.runtime().ticks().min(run);
-                    if ws.runtime().ticks() > run {
-                        let span = Span::new(
-                            al.window.start() + al.actual_length,
-                            al.window.start() + ws.runtime(),
-                        )
-                        .expect("tails are non-empty");
-                        let id = state.vacant.mint_id();
-                        tails.push(
-                            Slot::new(id, ws.node(), ws.perf(), ws.price(), span)
-                                .expect("tails are non-empty"),
-                        );
-                    }
-                }
-                state
-                    .vacant
-                    .insert_batch(tails)
-                    .expect("returned tails are disjoint from the vacant list");
-            }
+            Event::JobArrival { job } => self.on_job_arrival(state, job),
+            Event::SlotPublished { count, .. } => self.on_slot_published(state, now, count),
+            Event::SlotExpired { .. } => self.on_slot_expired(state, now),
+            Event::CycleTick { cycle } => self.on_cycle_tick(state, now, cycle)?,
+            Event::RevocationStrike { .. } => self.on_revocation_strike(state, now),
+            Event::LeaseCompleted { lease } => self.on_lease_completed(state, lease),
         }
         Ok(())
     }
 
-    /// Commits a window as a fresh lease and schedules its completion.
+    fn on_job_arrival(&self, state: &mut RunState, job: u32) {
+        let (arrival, request) = state.arrivals[job as usize];
+        state.report.jobs_arrived += 1;
+        state.pending.push(PendingJob {
+            id: job,
+            arrival,
+            vo: job % self.config.vos,
+            request,
+        });
+    }
+
+    fn on_slot_published(&self, state: &mut RunState, now: TimePoint, count: u32) {
+        let generated = state
+            .slot_gen
+            .generate_exact(&mut state.rng, count as usize);
+        let mut published = Vec::with_capacity(generated.len());
+        for s in generated.iter() {
+            let id = state.vacant.mint_id();
+            let node = NodeId::new(state.next_node);
+            state.next_node += 1;
+            let span = Span::new(now + (s.start() - TimePoint::ZERO), {
+                now + (s.end() - TimePoint::ZERO)
+            })
+            .expect("generated spans are non-empty");
+            let slot = Slot::new(id, node, s.perf(), s.price(), span)
+                .expect("generated slots are non-empty");
+            state.published_ticks += span.length().ticks();
+            state
+                .queue
+                .push(span.end(), Event::SlotExpired { slot: id.raw() });
+            published.push(slot);
+        }
+        state
+            .vacant
+            .insert_batch(published)
+            .expect("fresh nodes cannot collide with existing slots");
+    }
+
+    fn on_slot_expired(&self, state: &mut RunState, now: TimePoint) {
+        // The slot id is only a trigger: sweep everything that has fully
+        // elapsed (remnants carved from expired slots carry fresh ids but
+        // the same end bound).
+        state.vacant.remove_expired(now);
+    }
+
+    fn on_cycle_tick(
+        &self,
+        state: &mut RunState,
+        now: TimePoint,
+        cycle: u32,
+    ) -> Result<(), EngineError> {
+        let market = clip_to_now(&state.vacant, now);
+        let market_slots = market.len();
+        if state.pending.is_empty() {
+            state.report.cycles.push(CyclePoint {
+                cycle,
+                time: now.ticks(),
+                market_slots,
+                batch_size: 0,
+                scheduled: 0,
+                postponed: 0,
+                mean_wait: 0.0,
+                spend: 0.0,
+            });
+            return Ok(());
+        }
+
+        // Pending order is (arrival, id): the longest-waiting job takes
+        // the highest batch priority.
+        let jobs: Vec<Job> = state
+            .pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Job::new(JobId::new(i as u32), p.request))
+            .collect();
+        let batch = Batch::from_jobs(jobs).expect("re-keyed ids are unique");
+        let parallelism = Parallelism::new(self.config.threads);
+        let mut result = if self.config.optimizer_cache {
+            run_iteration_cached_with(
+                self.selector,
+                &market,
+                &batch,
+                &self.config.iteration,
+                &mut state.optimizer,
+                parallelism,
+            )?
+        } else {
+            run_iteration_with(
+                self.selector,
+                &market,
+                &batch,
+                &self.config.iteration,
+                parallelism,
+            )?
+        };
+        state.report.opt.merge(&result.opt);
+        let pending = std::mem::take(&mut state.pending);
+        // The post-commit vacant list starts from whatever the search
+        // left.
+        let mut exec = std::mem::take(&mut result.search.remaining);
+        let per_job = result.search.alternatives.per_job();
+
+        let chosen = result.chosen();
+
+        // Every non-chosen alternative is released back (they stay
+        // adoptable for failover until something else consumes their
+        // time).
+        release_windows(&mut exec, result.unchosen_windows(&chosen));
+        // Fragments accumulate at commit boundaries (released
+        // alternatives, returned tails, clip remnants); merging touching
+        // same-attribute neighbours keeps the list — and every later scan
+        // over it — small.
+        if self.config.coalesce {
+            state.report.slots_coalesced += exec.coalesce() as u64;
+        }
+
+        let mut committed: usize = 0;
+        let mut cycle_wait: i64 = 0;
+        let mut cycle_spend: f64 = 0.0;
+        for (i, p) in pending.iter().enumerate() {
+            let Some(alt_idx) = chosen[i] else { continue };
+            let window = per_job[i].alternatives()[alt_idx].window().clone();
+            let alternatives: Vec<Window> = per_job[i]
+                .alternatives()
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != alt_idx)
+                .map(|(_, a)| a.window().clone())
+                .collect();
+            let cost = window.total_cost().to_f64();
+            cycle_wait += (window.start() - p.arrival).ticks();
+            cycle_spend += cost;
+            state.report.vo_spend[p.vo as usize] += cost;
+            committed += 1;
+            self.commit_lease(state, *p, window, alternatives);
+        }
+        state.report.jobs_scheduled += committed as u64;
+
+        let carried: Vec<PendingJob> = pending
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| chosen[*i].is_none())
+            .map(|(_, p)| *p)
+            .collect();
+        let cycle_mean_wait = if committed > 0 {
+            cycle_wait as f64 / committed as f64
+        } else {
+            0.0
+        };
+        state.report.cycles.push(CyclePoint {
+            cycle,
+            time: now.ticks(),
+            market_slots,
+            batch_size: pending.len(),
+            scheduled: committed,
+            postponed: carried.len(),
+            mean_wait: cycle_mean_wait,
+            spend: cycle_spend,
+        });
+        self.obs.on_cycle(
+            now.ticks(),
+            &result.search.stats,
+            &result.opt,
+            pending.len(),
+            committed,
+            cycle_mean_wait,
+        );
+        state.pending = carried;
+        state.vacant = exec;
+        Ok(())
+    }
+
+    fn on_revocation_strike(&self, state: &mut RunState, now: TimePoint) {
+        // Sample against the live surface: active lease regions (so
+        // strikes can land on windows carved by earlier repairs), then
+        // reserved-but-uncommitted windows (so strikes can land *between*
+        // the two phases of a cross-shard reservation), on top of the
+        // vacant slots. With no reservations held — every non-federated
+        // run — the surface and therefore the draw sequence is unchanged.
+        let held: Vec<u64> = state
+            .reservations
+            .iter()
+            .filter(|(_, r)| !r.broken)
+            .map(|(id, _)| *id)
+            .collect();
+        let surface: Vec<Lease> = state
+            .leases
+            .values()
+            .map(|al| Lease::planned(JobId::new(al.job.id), al.window.clone()))
+            .chain(held.iter().map(|id| {
+                Lease::planned(JobId::new(u32::MAX), state.reservations[id].window.clone())
+            }))
+            .collect();
+        let revocations = state
+            .revocation
+            .draw_live(&state.vacant, &surface, &mut state.rng);
+        state.report.revocations += revocations.len() as u64;
+        if revocations.is_empty() {
+            return;
+        }
+        for r in &revocations {
+            state.vacant.remove_region(r.node, r.span);
+        }
+
+        // The surface holds the leases first, in id order, then the held
+        // reservations.
+        let struck: Vec<bool> = surface
+            .iter()
+            .map(|view| revocations.iter().any(|r| view.broken_by(r)))
+            .collect();
+        let (lease_struck, reservation_struck) = struck.split_at(state.leases.len());
+        let broken: Vec<u64> = state
+            .leases
+            .keys()
+            .zip(lease_struck)
+            .filter(|(_, &hit)| hit)
+            .map(|(id, _)| *id)
+            .collect();
+        state.report.leases_broken += broken.len() as u64;
+
+        // Broken leases and struck reservations release their surviving
+        // future fragments first, so later repairs can reuse the time.
+        return_surviving_fragments(
+            &mut state.vacant,
+            surface
+                .iter()
+                .zip(&struck)
+                .filter(|(_, &hit)| hit)
+                .map(|(view, _)| &view.window),
+            &revocations,
+            now,
+        );
+
+        // Struck reservations have no repair tier: the federation
+        // observes the break at commit time and releases the siblings.
+        for (id, _) in held.iter().zip(reservation_struck).filter(|(_, &hit)| hit) {
+            state
+                .reservations
+                .get_mut(id)
+                .expect("held ids name live reservations")
+                .broken = true;
+            state.reservations_broken += 1;
+        }
+
+        // The repair ladder, in lease-id (commitment) order.
+        self.obs.on_repair(now.ticks(), broken.len());
+        let ladder = RepairLadder {
+            selector: &self.selector,
+            policy: self.config.repair,
+            now,
+            revocations: &revocations,
+        };
+        let mut stats = RepairStats::default();
+        for id in broken {
+            let original = state.leases.remove(&id).expect("broken ids are live");
+            let outcome = ladder.repair(
+                &mut state.vacant,
+                &original.job.request,
+                &original.window,
+                &original.alternatives,
+                &mut stats,
+            );
+            let (window, alternatives) = match outcome {
+                RepairOutcome::FailedOver(k) => {
+                    state.report.failovers += 1;
+                    let mut rest = original.alternatives;
+                    let window = rest.remove(k);
+                    (window, rest)
+                }
+                RepairOutcome::Repaired(window) => {
+                    state.report.repairs += 1;
+                    (window, Vec::new())
+                }
+                RepairOutcome::Postponed(_) => {
+                    state.report.repostponed += 1;
+                    state.pending.push(original.job);
+                    state.pending.sort_by_key(|p| (p.arrival, p.id));
+                    continue;
+                }
+            };
+            // The old lease id dies here; its pending completion event
+            // goes stale.
+            self.commit_lease(state, original.job, window, alternatives);
+        }
+        state.report.full_rescans += stats.full_rescans_attempted;
+    }
+
+    fn on_lease_completed(&self, state: &mut RunState, lease: u64) {
+        let Some(al) = state.leases.remove(&lease) else {
+            // The lease broke and was replaced after this event was
+            // scheduled.
+            state.report.stale_completions += 1;
+            return;
+        };
+        state.report.jobs_completed += 1;
+        let run = al.actual_length.ticks();
+        let wait = (al.window.start() - al.job.arrival).ticks();
+        state.wait_sum += wait as f64;
+        state.slowdown_sum +=
+            ((wait + run) as f64 / run.max(self.config.slowdown_tau) as f64).max(1.0);
+
+        // Unused tails (members faster than the elapsed run, or the
+        // completion-fraction shortfall) return to the vacant list as one
+        // batch.
+        let mut tails: Vec<Slot> = Vec::new();
+        for ws in al.window.slots() {
+            state.busy_ticks += ws.runtime().ticks().min(run);
+            if ws.runtime().ticks() > run {
+                let span = Span::new(
+                    al.window.start() + al.actual_length,
+                    al.window.start() + ws.runtime(),
+                )
+                .expect("tails are non-empty");
+                let id = state.vacant.mint_id();
+                tails.push(
+                    Slot::new(id, ws.node(), ws.perf(), ws.price(), span)
+                        .expect("tails are non-empty"),
+                );
+            }
+        }
+        state
+            .vacant
+            .insert_batch(tails)
+            .expect("returned tails are disjoint from the vacant list");
+    }
+
+    /// Commits `window` as a fresh lease running `job`, schedules its
+    /// completion after `completion_fraction` of the planned length, and
+    /// returns the lease id.
     fn commit_lease(
         &self,
-        queue: &mut EventQueue,
-        leases: &mut BTreeMap<u64, ActiveLease>,
-        next_lease: &mut u64,
-        seed: ActiveLeaseSeed,
-    ) {
-        let planned = seed.window.length().ticks();
-        let actual =
-            ((planned as f64 * self.config.completion_fraction).ceil() as i64).clamp(1, planned);
-        let lease_id = *next_lease;
-        *next_lease += 1;
-        queue.push(
-            seed.window.start() + TimeDelta::new(actual),
-            Event::LeaseCompleted { lease: lease_id },
+        state: &mut RunState,
+        job: PendingJob,
+        window: Window,
+        alternatives: Vec<Window>,
+    ) -> u64 {
+        let planned = window.length().ticks();
+        let actual_length = TimeDelta::new(
+            ((planned as f64 * self.config.completion_fraction).ceil() as i64).clamp(1, planned),
         );
-        leases.insert(
-            lease_id,
+        let lease = state.next_lease;
+        state.next_lease += 1;
+        state.queue.push(
+            window.start() + actual_length,
+            Event::LeaseCompleted { lease },
+        );
+        state.leases.insert(
+            lease,
             ActiveLease {
-                job: seed.job,
-                arrival: seed.arrival,
-                vo: seed.vo,
-                request: seed.request,
-                window: seed.window,
-                alternatives: seed.alternatives,
-                actual_length: TimeDelta::new(actual),
+                job,
+                window,
+                alternatives,
+                actual_length,
             },
         );
+        lease
     }
 
     /// Precomputes the `(arrival time, request)` stream this engine's
@@ -1440,17 +1346,6 @@ impl<S: SlotSelector + Copy> Engine<S> {
     }
 }
 
-/// The fields [`Engine::commit_lease`] needs to mint an [`ActiveLease`].
-#[derive(Debug)]
-struct ActiveLeaseSeed {
-    job: u32,
-    arrival: TimePoint,
-    vo: u32,
-    request: ResourceRequest,
-    window: Window,
-    alternatives: Vec<Window>,
-}
-
 /// The market snapshot a cycle schedules over: every vacant slot clipped
 /// to `[now, end)`, dropping fully elapsed ones. Ids are preserved, so the
 /// clipped slots stay in strictly increasing `(start, id)` order after the
@@ -1474,58 +1369,6 @@ fn clip_to_now(vacant: &SlotList, now: TimePoint) -> SlotList {
     }
     clipped.sort_by_key(|s| (s.start(), s.id()));
     SlotList::from_sorted_slots(clipped).expect("clipping preserves disjointness and unique ids")
-}
-
-/// Returns the surviving fragments of a revoked window — everything the
-/// strikes did not consume and that has not yet elapsed — to the vacant
-/// list as freshly minted slots, in one batch.
-fn return_surviving_fragments(
-    vacant: &mut SlotList,
-    window: &Window,
-    revocations: &[Revocation],
-    now: TimePoint,
-) {
-    let mut returned = Vec::new();
-    for ws in window.slots() {
-        let mut fragments = vec![window.used_span(ws)];
-        for r in revocations.iter().filter(|r| r.node == ws.node()) {
-            let mut survivors = Vec::new();
-            for frag in fragments {
-                let (left, right) = frag.subtract(r.span);
-                survivors.extend(left);
-                survivors.extend(right);
-            }
-            fragments = survivors;
-        }
-        for frag in fragments {
-            if frag.end() <= now {
-                continue; // already elapsed
-            }
-            let span = Span::new(frag.start().max(now), frag.end())
-                .expect("clipped fragments are non-empty");
-            let slot_id = vacant.mint_id();
-            returned.push(
-                Slot::new(slot_id, ws.node(), ws.perf(), ws.price(), span)
-                    .expect("surviving fragments are non-empty"),
-            );
-        }
-    }
-    vacant
-        .insert_batch(returned)
-        .expect("revoked regions were held exclusively");
-}
-
-/// Mints a fresh slot for each of a window's regions and appends it to
-/// `out`, for the caller to return to `list` with
-/// [`SlotList::insert_batch`].
-fn mint_released(list: &mut SlotList, window: &Window, out: &mut Vec<Slot>) {
-    for ws in window.slots() {
-        let id = list.mint_id();
-        out.push(
-            Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
-                .expect("window members have positive runtimes"),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1766,6 +1609,7 @@ mod tests {
     // -- two-phase reservations --------------------------------------
 
     use ecosched_core::{Perf, Price};
+    use ecosched_select::ScanStats;
 
     /// Steps until the market is populated, then probes a one-node
     /// window launchable at the current time.
@@ -1786,15 +1630,10 @@ mod tests {
             Price::from_credits(60),
         )
         .unwrap();
-        let mut scan = ScanStats::new();
-        let window = repair_search(
-            &Amp::new(),
-            &request,
-            state.last_time(),
-            &state.vacant,
-            &mut scan,
-        )
-        .expect("a fresh market hosts a one-node window");
+        let market = clip_to_now(&state.vacant, state.last_time());
+        let window = Amp::new()
+            .find_window(&market, &request, &mut ScanStats::new())
+            .expect("a fresh market hosts a one-node window");
         (request, window)
     }
 
@@ -1822,7 +1661,7 @@ mod tests {
         assert_eq!(state.reservations_held(), 0);
         assert_eq!(state.leases.len(), leases + 1);
         assert!(state.leases.contains_key(&lease));
-        assert_eq!(state.leases[&lease].job, job);
+        assert_eq!(state.leases[&lease].job.id, job);
         assert_eq!(state.report.jobs_arrived, arrived + 1);
 
         while engine.step(&mut state).unwrap().is_some() {}

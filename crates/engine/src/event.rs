@@ -46,7 +46,7 @@ pub enum Event {
     },
     /// A mid-cycle fault process fired: revocations are drawn against the
     /// live state (vacant slots plus active leases) and broken leases run
-    /// the three-tier repair pass.
+    /// up the repair ladder (`ecosched_sim::RepairLadder`).
     RevocationStrike {
         /// The strike index (one per cycle, mid-cycle).
         strike: u32,

@@ -156,12 +156,12 @@ pub(crate) fn extend_row_threads(
         return;
     }
     let chunk = columns.div_ceil(threads.min(columns));
-    let joined = crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = new
             .chunks_mut(chunk)
             .enumerate()
             .map(|(k, cells)| {
-                scope.spawn(move |_| fill_cells(items, next, cells, first + k * chunk, sense))
+                scope.spawn(move || fill_cells(items, next, cells, first + k * chunk, sense))
             })
             .collect();
         for handle in handles {
@@ -170,9 +170,6 @@ pub(crate) fn extend_row_threads(
             }
         }
     });
-    if let Err(payload) = joined {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Builds row `i` of the table (columns `0..=width`) from the next row.

@@ -117,11 +117,11 @@ fn evaluate_scans(
             .collect();
     }
     let chunk = scans.len().div_ceil(workers);
-    let joined = crossbeam::scope(|scope| {
+    let parts = std::thread::scope(|scope| {
         let handles: Vec<_> = scans
             .chunks_mut(chunk)
             .map(|part| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = ScanStats::new();
                     let hits: Vec<Option<ScanHit>> = part
                         .iter_mut()
@@ -136,16 +136,13 @@ fn evaluate_scans(
             .collect();
         handles
             .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect::<Vec<_>>()
     });
-    let parts = match joined {
-        Ok(parts) => parts,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
     let mut hits = Vec::with_capacity(scans.len());
     for (part_hits, local) in parts {
         hits.extend(part_hits);

@@ -2,9 +2,11 @@
 //!
 //! The paper's resources are non-dedicated: a vacant slot published to the
 //! metascheduler can be withdrawn by its owner between the alternatives
-//! search and the launch. This module provides the two search-layer tiers
-//! of the recovery policy (the third tier — postponing to the next cycle —
-//! lives in the metascheduler):
+//! search and the launch. This module provides the two search-layer
+//! primitives of the recovery policy. The ladder that composes them —
+//! failover, anchored repair, optional full rescan, postpone — is
+//! `ecosched_sim::RepairLadder`, shared by the batch-cycle metascheduler
+//! and the discrete-event engine:
 //!
 //! 1. **Failover** — [`try_adopt_window`] re-validates one of the job's
 //!    pre-computed alternatives against the current execution list and the
@@ -14,9 +16,10 @@
 //!    search ran; [`RepairError`] says which region went stale and why.
 //! 2. **Bounded repair search** — [`repair_search`] re-runs the window
 //!    search for just the broken job on the post-revocation list, resuming
-//!    from the broken window's start via the incremental checkpoint
-//!    machinery so the scan is O(survivors after the anchor), never a full
-//!    rescan.
+//!    from an anchor (the broken window's start, or the strike time when
+//!    that is later) via the incremental checkpoint machinery so the scan
+//!    is O(survivors after the anchor). The ladder's optional full rescan
+//!    is the same call anchored at the strike time.
 //!
 //! Windows are validated by *region*, not by slot id: committed windows
 //! reference remnant ids minted during subtraction while revocations are

@@ -6,7 +6,7 @@
 //! remaining jobs are optimized under the configured criterion with the VO
 //! limits derived from Eq. (2)/(3).
 
-use ecosched_core::{Batch, CoreError, JobAlternatives, JobId, Money, SlotList, TimeDelta};
+use ecosched_core::{Batch, CoreError, JobAlternatives, JobId, Money, SlotList, TimeDelta, Window};
 use ecosched_optimize::{time_quota, Assignment, IncrementalOptimizer, OptStats, OptimizeError};
 use ecosched_select::{SearchOutcome, SlotSelector};
 use serde::{Deserialize, Serialize};
@@ -134,6 +134,36 @@ impl IterationResult {
     #[must_use]
     pub fn all_covered(&self) -> bool {
         self.postponed.is_empty()
+    }
+
+    /// The optimizer's choice per batch index: the chosen alternative's
+    /// position in the job's set, or `None` for a job it did not cover.
+    #[must_use]
+    pub fn chosen(&self) -> Vec<Option<usize>> {
+        let mut chosen = vec![None; self.search.alternatives.per_job().len()];
+        if let Some(assignment) = &self.assignment {
+            for choice in assignment.choices() {
+                chosen[choice.job.index() as usize] = Some(choice.alternative);
+            }
+        }
+        chosen
+    }
+
+    /// Every alternative the optimizer did not choose (`chosen` as
+    /// returned by [`Self::chosen`]), in batch then set order — the
+    /// windows a cycle releases back to the market.
+    pub fn unchosen_windows<'a>(
+        &'a self,
+        chosen: &'a [Option<usize>],
+    ) -> impl Iterator<Item = &'a Window> + 'a {
+        let per_job = self.search.alternatives.per_job();
+        per_job.iter().zip(chosen).flat_map(|(ja, chosen)| {
+            ja.alternatives()
+                .iter()
+                .enumerate()
+                .filter(move |(j, _)| *chosen != Some(*j))
+                .map(|(_, alt)| alt.window())
+        })
     }
 }
 

@@ -12,9 +12,11 @@
 //!   search → Eq. (2)/(3) VO limits → combination optimization;
 //! * [`Metascheduler`] — the iterative loop with postponed-job carry-over
 //!   and revocation-tolerant execution ([`RevocationModel`] injects seeded
-//!   slot revocations; a three-tier repair pass — failover to surviving
-//!   alternatives, bounded repair search, postpone — recovers and accounts
-//!   for every fault in [`RepairStats`]);
+//!   slot revocations; the repair ladder — failover to surviving
+//!   alternatives, bounded repair search, optional full rescan, postpone —
+//!   recovers and accounts for every fault in [`RepairStats`]);
+//! * [`RepairLadder`] — that ladder, shared with the discrete-event
+//!   engine's mid-cycle strikes, plus the bulk market returns around it;
 //! * [`RunningStats`] — streaming aggregates for the experiment harness.
 //!
 //! # Example
@@ -50,6 +52,7 @@ mod job_gen;
 mod market;
 mod metasched;
 pub mod pricing;
+mod repair;
 mod revocation;
 mod rng_ext;
 mod slot_gen;
@@ -65,10 +68,13 @@ pub use iteration::{
 pub use job_gen::JobGenerator;
 pub use market::{MarketConfig, MarketCycleReport, MarketSimulation};
 pub use metasched::{
-    CycleSummary, CycleTrace, JobFate, Metascheduler, MetaschedulerReport, PostponeReason,
-    RepairPolicy, TracedRun,
+    CycleSummary, CycleTrace, JobFate, Metascheduler, MetaschedulerReport, TracedRun,
 };
-pub use revocation::{RepairStats, RevocationConfig, RevocationModel};
+pub use repair::{
+    release_windows, return_surviving_fragments, PostponeReason, RepairLadder, RepairOutcome,
+    RepairPolicy, RepairStats,
+};
+pub use revocation::{RevocationConfig, RevocationModel};
 pub use slot_gen::SlotGenerator;
 pub use stats::RunningStats;
 pub use strategy::{ScheduleStrategy, StrategyConfig, StrategyVersion};

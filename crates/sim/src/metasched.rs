@@ -11,48 +11,34 @@
 //! The paper's Sec. 5 study keeps the environment static between the
 //! combination optimization and "scheduled". Our extension inserts an
 //! execution step: a [`RevocationModel`] withdraws vacant regions after
-//! commitment, and a three-tier repair pass recovers each broken lease
-//! within a bounded attempt budget ([`RepairPolicy`]):
-//!
-//! 1. **failover** — adopt a surviving pre-computed alternative (they are
-//!    pairwise disjoint by construction, but must be re-validated against
-//!    regions consumed by other jobs and against the revocations);
-//! 2. **bounded repair search** — re-run the window search for just the
-//!    broken job on the post-revocation execution list, resuming from the
-//!    broken window's start via the incremental checkpoint machinery;
-//! 3. **postpone** — carry the job to the next cycle with a
-//!    [`PostponeReason`].
+//! commitment, and every broken lease climbs the shared repair ladder
+//! ([`RepairLadder`]: failover → bounded repair search → optional full
+//! rescan → postpone) within a bounded attempt budget
+//! ([`RepairPolicy`]).
 //!
 //! Every job therefore ends each cycle in a terminal [`JobFate`], and
 //! [`RepairStats`] accounts for 100% of the injected revocations.
 
 use ecosched_core::{
-    Batch, Job, JobId, Lease, LeaseOrigin, Money, ResourceRequest, Revocation, Slot, SlotList,
+    Batch, Job, JobId, Lease, LeaseOrigin, Money, ResourceRequest, Revocation, SlotList, TimePoint,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ecosched_optimize::{IncrementalOptimizer, OptStats};
-use ecosched_select::{repair_search, try_adopt_window, RepairError, ScanStats, SlotSelector};
+use ecosched_select::SlotSelector;
 
 use crate::config::{JobGenConfig, SlotGenConfig};
-use crate::iteration::{run_iteration_cached_with, IterationConfig, IterationError, Parallelism};
+use crate::iteration::{
+    run_iteration_cached_with, IterationConfig, IterationError, IterationResult, Parallelism,
+};
 use crate::job_gen::JobGenerator;
-use crate::revocation::{RepairStats, RevocationConfig, RevocationModel};
+use crate::repair::{
+    release_windows, return_surviving_fragments, PostponeReason, RepairLadder, RepairOutcome,
+    RepairPolicy, RepairStats,
+};
+use crate::revocation::{RevocationConfig, RevocationModel};
 use crate::slot_gen::SlotGenerator;
-
-/// Why a job left a cycle unscheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PostponeReason {
-    /// The alternatives search found no suitable window (the paper's
-    /// original postpone path).
-    NoAlternatives,
-    /// Revocation broke the lease, every surviving alternative failed
-    /// re-validation, and the repair search found no replacement.
-    AllAlternativesStale,
-    /// The repair attempt budget ran out before a replacement was secured.
-    RepairBudgetExhausted,
-}
 
 /// The terminal state of one job at the end of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,51 +61,6 @@ impl JobFate {
     #[must_use]
     pub fn is_scheduled(&self) -> bool {
         !matches!(self, JobFate::Postponed(_))
-    }
-}
-
-/// Bounds the per-lease recovery work.
-///
-/// Each broken lease may spend at most `max_attempts` recovery attempts,
-/// where one attempt is either one failover re-validation or one bounded
-/// repair scan. Exhausting the budget postpones the job with
-/// [`PostponeReason::RepairBudgetExhausted`].
-///
-/// # Earlier-start exclusion
-///
-/// The tier-2 repair scan deliberately resumes **at the broken window's
-/// start** (via the incremental checkpoint machinery's `resume_from`),
-/// never earlier. Windows beginning before the broken plan are excluded
-/// by design: the original search already walked that prefix against a
-/// strictly *larger* availability list and committed or rejected every
-/// start point in it, so under slot subtraction (which only removes
-/// availability) no start earlier than the original plan can newly become
-/// feasible. Skipping the prefix keeps the repair O(survivors past the
-/// anchor) instead of O(list) without giving up any window the sequential
-/// rescan could have found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RepairPolicy {
-    /// Maximum recovery attempts (validations plus scans) per broken lease.
-    pub max_attempts: u32,
-    /// When the bounded anchored repair is exhausted — the attempt budget
-    /// ran out, or the anchored scan came up dry — retry **once** with a
-    /// full rescan from the start of the execution list before
-    /// postponing. This is the escape hatch from the earlier-start
-    /// exclusion: under pure slot *subtraction* no earlier start can
-    /// newly become feasible, but broken leases **release** their
-    /// surviving fragments back into the list first, so a fragment of a
-    /// pre-anchor slot can make a window feasible that starts before the
-    /// broken plan. The full rescan is the only tier that can see it.
-    /// Costs one O(list) scan per otherwise-postponed lease; default off.
-    pub full_rescan_on_exhaustion: bool,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            max_attempts: 8,
-            full_rescan_on_exhaustion: false,
-        }
     }
 }
 
@@ -348,14 +289,7 @@ impl Metascheduler {
             }
             stats.postponed_no_alternatives = result.postponed.len() as u64;
 
-            // The optimizer's choice per batch index (None for uncovered
-            // jobs).
-            let mut chosen: Vec<Option<usize>> = vec![None; batch.len()];
-            if let Some(assignment) = &result.assignment {
-                for choice in assignment.choices() {
-                    chosen[choice.job.index() as usize] = Some(choice.alternative);
-                }
-            }
+            let chosen = result.chosen();
 
             let mut leases: Vec<Option<Lease>> = vec![None; batch.len()];
             for (i, job) in batch.as_slice().iter().enumerate() {
@@ -369,9 +303,8 @@ impl Metascheduler {
                 self.execute_and_repair(
                     &selector,
                     &list,
-                    &result.search.remaining,
+                    &result,
                     &batch,
-                    per_job,
                     &chosen,
                     &mut leases,
                     &mut fates,
@@ -454,17 +387,16 @@ impl Metascheduler {
         Ok(TracedRun { report, traces })
     }
 
-    /// Injects this cycle's revocations and runs the three-tier repair
-    /// pass. `leases`, `fates`, and `stats` are updated in place; returns
-    /// the injected revocations.
+    /// Injects this cycle's revocations and runs the repair ladder on
+    /// every broken lease. `leases`, `fates`, and `stats` are updated in
+    /// place; returns the injected revocations.
     #[allow(clippy::too_many_arguments)]
     fn execute_and_repair<R: Rng + ?Sized>(
         &self,
         selector: &(impl SlotSelector + Copy),
         published: &SlotList,
-        remaining: &SlotList,
+        result: &IterationResult,
         batch: &Batch,
-        per_job: &[ecosched_core::JobAlternatives],
         chosen: &[Option<usize>],
         leases: &mut [Option<Lease>],
         fates: &mut [Option<JobFate>],
@@ -475,15 +407,17 @@ impl Metascheduler {
         // windows were carved out. The search subtracted *every* found
         // alternative; the non-chosen ones return to the pool as freshly
         // minted slots so failovers and repairs can reuse that time.
-        let mut exec = remaining.clone();
-        for (i, ja) in per_job.iter().enumerate() {
-            for (alt_idx, alt) in ja.alternatives().iter().enumerate() {
-                if chosen[i] == Some(alt_idx) {
-                    continue;
-                }
-                release_window(&mut exec, alt.window());
-            }
-        }
+        let mut exec = result.search.remaining.clone();
+        release_windows(&mut exec, result.unchosen_windows(chosen));
+        // The cycle has no clock: its lists start at or after time zero,
+        // so the ladder's launch-in-the-past filters never fire here.
+        debug_assert!(
+            published
+                .iter()
+                .chain(exec.iter())
+                .all(|s| s.start() >= TimePoint::ZERO),
+            "metascheduler lists start at or after time zero"
+        );
 
         let revocations = self.revocation.draw(published, rng);
         for r in &revocations {
@@ -509,168 +443,72 @@ impl Metascheduler {
         // Broken leases first release their surviving (non-revoked)
         // fragments back into the execution list, so later failovers and
         // repairs — including their own — can reuse that time.
-        for (li, lease) in leases.iter().enumerate() {
-            if !broken[li] {
-                continue;
-            }
-            // invariant: `broken` is only set for indices holding a lease.
-            let lease = lease.as_ref().expect("broken implies leased");
-            for ws in lease.window.slots() {
-                let mut fragments = vec![lease.window.used_span(ws)];
-                for r in revocations.iter().filter(|r| r.node == ws.node()) {
-                    let mut survivors = Vec::new();
-                    for frag in fragments {
-                        let (left, right) = frag.subtract(r.span);
-                        survivors.extend(left);
-                        survivors.extend(right);
-                    }
-                    fragments = survivors;
-                }
-                for frag in fragments {
-                    let id = exec.mint_id();
-                    let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), frag)
-                        .expect("surviving fragments are non-empty");
-                    exec.insert(slot)
-                        .expect("lease regions were held exclusively");
-                }
-            }
-        }
+        return_surviving_fragments(
+            &mut exec,
+            leases
+                .iter()
+                .zip(&broken)
+                .filter(|(_, &b)| b)
+                .filter_map(|(lease, _)| lease.as_ref().map(|l| &l.window)),
+            &revocations,
+            TimePoint::ZERO,
+        );
 
-        // Three-tier recovery, in batch (priority) order.
+        // Recovery, in batch (priority) order.
+        let ladder = RepairLadder {
+            selector,
+            policy: self.policy,
+            now: TimePoint::ZERO,
+            revocations: &revocations,
+        };
         for li in 0..leases.len() {
             if !broken[li] {
                 continue;
             }
-            // invariant: `broken` is only set for indices holding a lease.
+            // invariant: `broken` is only set for indices holding a lease,
+            // and every lease is the job's chosen alternative.
             let original = leases[li].take().expect("broken implies leased");
-            let request = batch.as_slice()[li].request();
-            let original_cost = original.window.total_cost();
-            let mut attempts: u32 = 0;
-            let mut recovered: Option<(Lease, JobFate)> = None;
-
-            // Tier 1: fail over to a surviving pre-computed alternative.
-            // Disjoint from the broken window by construction, but other
-            // jobs' commitments and this cycle's revocations may have
-            // consumed it since — re-validate before adopting.
-            for (alt_idx, alt) in per_job[li].alternatives().iter().enumerate() {
-                if chosen[li] == Some(alt_idx) {
+            let chosen = chosen[li].expect("leased jobs have a chosen alternative");
+            let alternatives = result.search.alternatives.per_job()[li].alternatives();
+            let fallbacks = alternatives
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != chosen)
+                .map(|(_, alt)| alt.window());
+            let outcome = ladder.repair(
+                &mut exec,
+                batch.as_slice()[li].request(),
+                &original.window,
+                fallbacks,
+                stats,
+            );
+            let (window, origin, fate) = match outcome {
+                RepairOutcome::FailedOver(k) => {
+                    // Position `k` skips the chosen alternative.
+                    let alternative = if k >= chosen { k + 1 } else { k };
+                    (
+                        alternatives[alternative].window().clone(),
+                        LeaseOrigin::FailedOver { alternative },
+                        JobFate::FailedOver { alternative },
+                    )
+                }
+                RepairOutcome::Repaired(window) => {
+                    (window, LeaseOrigin::Repaired, JobFate::Repaired)
+                }
+                RepairOutcome::Postponed(reason) => {
+                    fates[li] = Some(JobFate::Postponed(reason));
                     continue;
                 }
-                if attempts >= self.policy.max_attempts {
-                    break;
-                }
-                attempts += 1;
-                stats.failover_validations += 1;
-                match try_adopt_window(alt.window(), &mut exec, &revocations) {
-                    Ok(()) => {
-                        stats.failovers_taken += 1;
-                        stats.repair_cost_delta +=
-                            (alt.window().total_cost() - original_cost).to_f64();
-                        recovered = Some((
-                            Lease {
-                                job: original.job,
-                                window: alt.window().clone(),
-                                origin: LeaseOrigin::FailedOver {
-                                    alternative: alt_idx,
-                                },
-                            },
-                            JobFate::FailedOver {
-                                alternative: alt_idx,
-                            },
-                        ));
-                        break;
-                    }
-                    Err(RepairError::Revoked { .. }) => stats.failover_stale_revoked += 1,
-                    Err(RepairError::Consumed { .. }) => stats.failover_stale_consumed += 1,
-                }
-            }
-
-            // Tier 2: bounded repair search on the survivors, resuming at
-            // the broken window's start (checkpointed, O(survivors)).
-            if recovered.is_none() && attempts < self.policy.max_attempts {
-                attempts += 1;
-                stats.repairs_attempted += 1;
-                let mut scan = ScanStats::new();
-                let found =
-                    repair_search(selector, request, original.window.start(), &exec, &mut scan);
-                stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-                stats.repair_scan.merge(&scan);
-                if let Some(window) = found {
-                    exec.subtract_window(&window)
-                        .expect("repair windows are carved from the execution list");
-                    stats.repairs_succeeded += 1;
-                    stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-                    recovered = Some((
-                        Lease {
-                            job: original.job,
-                            window,
-                            origin: LeaseOrigin::Repaired,
-                        },
-                        JobFate::Repaired,
-                    ));
-                }
-            }
-
-            // Tier 2.5 (optional, off by default): the anchored repair is
-            // exhausted — budget spent or scan dry. Retry once from the
-            // start of the execution list. Released fragments of *other*
-            // broken leases can make a window feasible that starts before
-            // this job's broken plan, and the anchored scan can never see
-            // it (earlier-start exclusion); the full rescan can.
-            if recovered.is_none() && self.policy.full_rescan_on_exhaustion {
-                stats.full_rescans_attempted += 1;
-                let mut scan = ScanStats::new();
-                let found = selector.find_window(&exec, request, &mut scan);
-                stats.budget_violations_avoided += scan.acceptance_tests - scan.windows_found;
-                stats.repair_scan.merge(&scan);
-                if let Some(window) = found {
-                    exec.subtract_window(&window)
-                        .expect("repair windows are carved from the execution list");
-                    stats.full_rescans_succeeded += 1;
-                    stats.repair_cost_delta += (window.total_cost() - original_cost).to_f64();
-                    recovered = Some((
-                        Lease {
-                            job: original.job,
-                            window,
-                            origin: LeaseOrigin::Repaired,
-                        },
-                        JobFate::Repaired,
-                    ));
-                }
-            }
-
-            // Tier 3: postpone with the reason.
-            match recovered {
-                Some((lease, fate)) => {
-                    leases[li] = Some(lease);
-                    fates[li] = Some(fate);
-                }
-                None => {
-                    let reason = if attempts >= self.policy.max_attempts {
-                        stats.postponed_budget_exhausted += 1;
-                        PostponeReason::RepairBudgetExhausted
-                    } else {
-                        stats.postponed_stale += 1;
-                        PostponeReason::AllAlternativesStale
-                    };
-                    fates[li] = Some(JobFate::Postponed(reason));
-                }
-            }
+            };
+            leases[li] = Some(Lease {
+                job: original.job,
+                window,
+                origin,
+            });
+            fates[li] = Some(fate);
         }
 
         revocations
-    }
-}
-
-/// Returns a window's regions to the execution list as freshly minted
-/// slots.
-fn release_window(exec: &mut SlotList, window: &ecosched_core::Window) {
-    for ws in window.slots() {
-        let id = exec.mint_id();
-        let slot = Slot::new(id, ws.node(), ws.perf(), ws.price(), window.used_span(ws))
-            .expect("window members have positive runtimes");
-        exec.insert(slot)
-            .expect("released regions were carved from this list");
     }
 }
 

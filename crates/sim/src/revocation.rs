@@ -1,11 +1,12 @@
-//! Seeded fault injection: the revocation model and repair accounting.
+//! Seeded fault injection: the revocation model.
 //!
 //! The paper's resources are non-dedicated — owner jobs have priority, so
 //! a vacant slot published to the metascheduler can be withdrawn between
 //! the alternatives search and the launch. The paper's Sec. 5 study keeps
 //! the environment static; this module is our extension that injects that
-//! churn deterministically so the repair tiers (failover → bounded repair
-//! search → postpone) can be exercised and measured.
+//! churn deterministically so the repair ladder ([`crate::RepairLadder`]:
+//! failover → bounded repair search → optional full rescan → postpone)
+//! can be exercised and measured.
 //!
 //! Three fault processes, all driven by the cycle's `ChaCha8Rng`:
 //!
@@ -233,110 +234,26 @@ impl RevocationModel {
             return Vec::new();
         }
         let mut domain = list.clone();
+        let mut held = Vec::new();
         for lease in leases {
             for ws in lease.window.slots() {
                 let id = domain.mint_id();
-                let slot = Slot::new(
-                    id,
-                    ws.node(),
-                    ws.perf(),
-                    ws.price(),
-                    lease.window.used_span(ws),
-                )
-                .expect("lease members have positive runtimes");
-                domain
-                    .insert(slot)
-                    .expect("lease regions are disjoint from the vacant list");
+                held.push(
+                    Slot::new(
+                        id,
+                        ws.node(),
+                        ws.perf(),
+                        ws.price(),
+                        lease.window.used_span(ws),
+                    )
+                    .expect("lease members have positive runtimes"),
+                );
             }
         }
+        domain
+            .insert_batch(held)
+            .expect("lease regions are disjoint from the vacant list");
         self.draw(&domain, rng)
-    }
-}
-
-/// Counters describing one cycle's (or one run's) fault-and-repair
-/// activity. Every injected revocation is accounted for:
-/// `revocations_injected == revocations_breaking + revocations_vacant_only`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RepairStats {
-    /// Revocations drawn by the model.
-    pub revocations_injected: u64,
-    /// Revocations whose region intersected at least one committed lease.
-    pub revocations_breaking: u64,
-    /// Revocations that only removed vacant (uncommitted) time.
-    pub revocations_vacant_only: u64,
-    /// Committed leases broken by at least one revocation.
-    pub leases_broken: u64,
-    /// Alternative re-validations attempted during failover (tier 1).
-    pub failover_validations: u64,
-    /// Failovers whose re-validation failed because a region was revoked.
-    pub failover_stale_revoked: u64,
-    /// Failovers whose re-validation failed because a region was consumed
-    /// by another job's commitment or repair.
-    pub failover_stale_consumed: u64,
-    /// Broken leases recovered by adopting a surviving alternative.
-    pub failovers_taken: u64,
-    /// Bounded repair searches started (tier 2).
-    pub repairs_attempted: u64,
-    /// Bounded repair searches that found a fresh window.
-    pub repairs_succeeded: u64,
-    /// Full rescans started after the anchored repair was exhausted
-    /// (tier 2.5, only under
-    /// [`RepairPolicy::full_rescan_on_exhaustion`]).
-    ///
-    /// [`RepairPolicy::full_rescan_on_exhaustion`]: crate::RepairPolicy::full_rescan_on_exhaustion
-    pub full_rescans_attempted: u64,
-    /// Full rescans that recovered a window the anchored tiers missed.
-    pub full_rescans_succeeded: u64,
-    /// Total recovered-minus-original window cost over every failover and
-    /// repair, in credits (negative when recovery found cheaper windows).
-    pub repair_cost_delta: f64,
-    /// AMP acceptance tests during repair scans that were rejected by the
-    /// job budget — windows the repair refused rather than overspend.
-    pub budget_violations_avoided: u64,
-    /// Scan-work counters of every repair search, including the
-    /// checkpoint-resume proof ([`ScanStats::checkpoint_hits`]).
-    ///
-    /// [`ScanStats::checkpoint_hits`]: ecosched_select::ScanStats::checkpoint_hits
-    pub repair_scan: ecosched_select::ScanStats,
-    /// Jobs postponed because the search found no alternatives at all.
-    pub postponed_no_alternatives: u64,
-    /// Broken jobs postponed after every alternative went stale and the
-    /// repair search came up empty.
-    pub postponed_stale: u64,
-    /// Broken jobs postponed because the repair attempt budget ran out.
-    pub postponed_budget_exhausted: u64,
-}
-
-impl RepairStats {
-    /// Adds another counter set into this one (`repair_scan` merges per
-    /// [`ScanStats::merge`]).
-    ///
-    /// [`ScanStats::merge`]: ecosched_select::ScanStats::merge
-    pub fn merge(&mut self, other: &RepairStats) {
-        self.revocations_injected += other.revocations_injected;
-        self.revocations_breaking += other.revocations_breaking;
-        self.revocations_vacant_only += other.revocations_vacant_only;
-        self.leases_broken += other.leases_broken;
-        self.failover_validations += other.failover_validations;
-        self.failover_stale_revoked += other.failover_stale_revoked;
-        self.failover_stale_consumed += other.failover_stale_consumed;
-        self.failovers_taken += other.failovers_taken;
-        self.repairs_attempted += other.repairs_attempted;
-        self.repairs_succeeded += other.repairs_succeeded;
-        self.full_rescans_attempted += other.full_rescans_attempted;
-        self.full_rescans_succeeded += other.full_rescans_succeeded;
-        self.repair_cost_delta += other.repair_cost_delta;
-        self.budget_violations_avoided += other.budget_violations_avoided;
-        self.repair_scan.merge(&other.repair_scan);
-        self.postponed_no_alternatives += other.postponed_no_alternatives;
-        self.postponed_stale += other.postponed_stale;
-        self.postponed_budget_exhausted += other.postponed_budget_exhausted;
-    }
-
-    /// Broken leases that recovered without postponing.
-    #[must_use]
-    pub fn recovered(&self) -> u64 {
-        self.failovers_taken + self.repairs_succeeded + self.full_rescans_succeeded
     }
 }
 
@@ -536,31 +453,5 @@ mod tests {
                 field: "nodes_per_domain"
             })
         );
-    }
-
-    #[test]
-    fn repair_stats_merge_is_additive() {
-        let mut a = RepairStats {
-            revocations_injected: 3,
-            revocations_breaking: 1,
-            revocations_vacant_only: 2,
-            failovers_taken: 1,
-            repair_cost_delta: -2.5,
-            ..RepairStats::default()
-        };
-        let b = RepairStats {
-            revocations_injected: 2,
-            revocations_breaking: 2,
-            repairs_attempted: 1,
-            repair_cost_delta: 4.0,
-            ..RepairStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.revocations_injected, 5);
-        assert_eq!(a.revocations_breaking, 3);
-        assert_eq!(a.revocations_vacant_only, 2);
-        assert_eq!(a.repairs_attempted, 1);
-        assert_eq!(a.recovered(), 1);
-        assert!((a.repair_cost_delta - 1.5).abs() < 1e-12);
     }
 }
